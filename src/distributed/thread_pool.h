@@ -13,11 +13,11 @@
 /// A fixed pool of worker threads shared by the multi-core subsystems: the
 /// ShardedPipeline parks one long-lived drain task per shard on it during
 /// ingest, then reuses the freed workers for the parallel merge tree, and
-/// the engine's ProcessBatchParallel borrows it per window segment. Task
+/// MultiQueryEngine::ProcessBatchParallel borrows it per event chunk. Task
 /// dispatch goes through one mutex-protected FIFO — fine for the coarse
-/// tasks scheduled here (a drain loop, a merge group, a bucket of GROUP-BY
-/// updates), which each amortize the queue round-trip over thousands of
-/// sketch updates. The per-item hot path never touches this queue; it runs
+/// tasks scheduled here (a drain loop, a merge group, one physical query's
+/// share of a chunk), which each amortize the queue round-trip over
+/// thousands of sketch updates. The per-item hot path never touches this queue; it runs
 /// inside a task, on SPSC rings and private shards.
 
 namespace gems {

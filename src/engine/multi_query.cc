@@ -5,7 +5,6 @@
 
 #include "common/bytes.h"
 #include "common/check.h"
-#include "hash/xxhash.h"
 
 namespace gems {
 
@@ -16,7 +15,6 @@ namespace {
 /// standard registry envelopes.
 constexpr uint32_t kEngineMagic = 0x4D4D4547;  // "GEMM" little-endian.
 constexpr uint8_t kEngineVersion = 1;
-constexpr uint64_t kEngineChecksumSeed = 0x4D4D5347;  // "GSMM".
 
 /// Canonical identity of a physical query: every option that shapes state
 /// or results for this aggregate — knobs the aggregate does not read are
@@ -119,56 +117,46 @@ void MultiQueryEngine::PrepareChunk(std::span<const StreamEvent> chunk) {
 }
 
 Status MultiQueryEngine::ProcessBatch(std::span<const StreamEvent> events) {
-  ingest_started_ = true;
-  constexpr size_t kChunk = 32768;
-  while (!events.empty()) {
-    const std::span<const StreamEvent> chunk =
-        events.first(std::min(events.size(), kChunk));
-    PrepareChunk(chunk);
-    // Dispatch the whole chunk to every physical query even on error, so
-    // no query silently misses events another one ingested; then report
-    // the first failure.
-    Status first = Status::Ok();
-    for (ExecGroup& group : groups_) {
-      Status s = group.query.ProcessBatchPrehashed(chunk, batch_.hashes(),
-                                                   group.accept);
-      if (!s.ok() && first.ok()) first = std::move(s);
-    }
-    if (!first.ok()) return first;
-    events = events.subspan(chunk.size());
-  }
-  return Status::Ok();
+  return IngestChunks(events, nullptr);
 }
 
 Status MultiQueryEngine::ProcessBatchParallel(
     std::span<const StreamEvent> events, ThreadPool& pool) {
-  if (pool.num_threads() <= 1 || groups_.size() <= 1) {
-    return ProcessBatch(events);
-  }
+  const bool fan_out = pool.num_threads() > 1 && groups_.size() > 1;
+  return IngestChunks(events, fan_out ? &pool : nullptr);
+}
+
+Status MultiQueryEngine::IngestChunks(std::span<const StreamEvent> events,
+                                      ThreadPool* pool) {
   ingest_started_ = true;
   constexpr size_t kChunk = 32768;
   std::vector<Status> statuses(groups_.size(), Status::Ok());
+  std::vector<std::function<void()>> tasks;
   while (!events.empty()) {
     const std::span<const StreamEvent> chunk =
         events.first(std::min(events.size(), kChunk));
-    // Shared columns are computed once on this thread; workers only read
-    // them. Each task owns one physical query's entire state, so the
-    // fan-out takes no locks and each query's state is byte-identical to
-    // the sequential dispatch order.
+    // Shared columns are computed once on this thread; the per-query
+    // dispatch only reads them. Each physical query owns its entire state,
+    // so the pool fan-out takes no locks and leaves every query
+    // byte-identical to the sequential dispatch order.
     PrepareChunk(chunk);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups_.size());
-    for (size_t i = 0; i < groups_.size(); ++i) {
-      ExecGroup& group = groups_[i];
-      Status& status = statuses[i];
-      const std::span<const uint64_t> hashes = batch_.hashes();
-      tasks.push_back([&group, &status, chunk, hashes] {
-        if (!status.ok()) return;  // Earlier chunk already failed here.
-        status = group.query.ProcessBatchPrehashed(chunk, hashes,
-                                                   group.accept);
-      });
+    const std::span<const uint64_t> hashes = batch_.hashes();
+    auto dispatch = [&, chunk, hashes](size_t g) {
+      statuses[g] = groups_[g].query.ProcessBatchPrehashed(
+          chunk, hashes, groups_[g].accept);
+    };
+    if (pool == nullptr) {
+      for (size_t g = 0; g < groups_.size(); ++g) dispatch(g);
+    } else {
+      tasks.clear();
+      for (size_t g = 0; g < groups_.size(); ++g) {
+        tasks.push_back([&dispatch, g] { dispatch(g); });
+      }
+      pool->RunAll(std::move(tasks));
     }
-    pool.RunAll(std::move(tasks));
+    // The whole chunk reached every physical query even on error, so no
+    // query silently misses events another one ingested; report the first
+    // failure by group index.
     for (const Status& status : statuses) {
       if (!status.ok()) return status;
     }
@@ -247,28 +235,15 @@ std::vector<uint8_t> MultiQueryEngine::SerializeState() const {
     w.PutVarint(view.group);
     w.PutU64(view.cursor);
   }
-  std::vector<uint8_t> body = std::move(w).TakeBytes();
-  const uint64_t checksum =
-      XxHash64(body.data(), body.size(), kEngineChecksumSeed);
-  for (int shift = 0; shift < 64; shift += 8) {
-    body.push_back(static_cast<uint8_t>(checksum >> shift));
-  }
-  return body;
+  return engine_detail::SealCheckpoint(std::move(w).TakeBytes(),
+                                       engine_detail::kEngineCheckpointSeed);
 }
 
 Status MultiQueryEngine::RestoreState(std::span<const uint8_t> bytes) {
-  if (bytes.size() < 8) {
-    return Status::Corruption("multi-query checkpoint: too short");
-  }
-  const size_t body_size = bytes.size() - 8;
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(bytes[body_size + i]) << (8 * i);
-  }
-  if (XxHash64(bytes.data(), body_size, kEngineChecksumSeed) != stored) {
-    return Status::Corruption("multi-query checkpoint: checksum mismatch");
-  }
-  ByteReader r(bytes.data(), body_size);
+  Result<std::span<const uint8_t>> body = engine_detail::OpenCheckpoint(
+      bytes, engine_detail::kEngineCheckpointSeed, "multi-query checkpoint");
+  if (!body.ok()) return body.status();
+  ByteReader r(body.value());
   uint32_t magic;
   uint8_t version;
   uint64_t seed, num_filters, num_groups;
@@ -352,6 +327,15 @@ Status MultiQueryEngine::RestoreState(std::span<const uint8_t> bytes) {
     }
     restored_views[q].group = views_[q].group;
     if (Status s = r.GetU64(&restored_views[q].cursor); !s.ok()) return s;
+    // A cursor outside its group's cache would make Poll read before the
+    // cache or size its result from a negative span.
+    const RestoredGroup& restored = restored_groups[group];
+    if (restored_views[q].cursor < restored.cache_base ||
+        restored_views[q].cursor - restored.cache_base >
+            restored.cache.size()) {
+      return Status::Corruption(
+          "multi-query checkpoint: view cursor outside its result cache");
+    }
   }
   if (!r.AtEnd()) {
     return Status::Corruption("multi-query checkpoint: trailing bytes");

@@ -146,6 +146,11 @@ class MultiQueryEngine {
     uint64_t cursor = 0;  // Absolute index of the next unseen window.
   };
 
+  /// The ingest loop behind ProcessBatch and ProcessBatchParallel: each
+  /// chunk is prepared once, dispatched to every physical query (as pool
+  /// tasks when `pool` is non-null, inline otherwise), then the first error
+  /// by group index is returned.
+  Status IngestChunks(std::span<const StreamEvent> events, ThreadPool* pool);
   /// Evaluates used filters and the shared hash column for one chunk, and
   /// AND-combines each group's accept column.
   void PrepareChunk(std::span<const StreamEvent> chunk);

@@ -6,7 +6,6 @@
 #include "common/bytes.h"
 #include "common/check.h"
 #include "core/registry.h"
-#include "distributed/aggregation.h"
 #include "hash/hash.h"
 #include "hash/hashed_batch.h"
 #include "hash/xxhash.h"
@@ -17,24 +16,41 @@ namespace {
 
 /// Magic + version for the checkpoint container. The sketches inside are
 /// standard wire envelopes; this header frames the engine-level state
-/// around them. The whole container carries a trailing XXH64 checksum so
-/// damage to engine-level fields (sums, window bounds) is caught just as
-/// reliably as damage inside a sketch envelope.
+/// around them, and engine_detail::SealCheckpoint closes it with a
+/// checksum. Only version 3 is written or read.
 constexpr uint32_t kCheckpointMagic = 0x514D4547;  // "GEMQ" little-endian.
-/// Version 2 added the sliding-window fields (the `slide` option in the
-/// fingerprint and the kHasSliding presence bit); version 3 added sliding
-/// TOP-K and QUANTILES pane rings. Version-1 and -2 images are still
-/// restorable into queries without the newer state.
 constexpr uint8_t kCheckpointVersion = 3;
-constexpr uint64_t kCheckpointChecksumSeed = 0x474D5351;  // "QSMG".
 
-/// Presence bits for the per-group optional sketches.
+/// Presence bits for the per-group sketch. Each group holds exactly the one
+/// sketch its query's aggregate owns (OwnedPresence), so a checkpoint's
+/// presence byte is redundant with the fingerprint and checked against it.
 constexpr uint8_t kHasDistinct = 1;
 constexpr uint8_t kHasTop = 2;
 constexpr uint8_t kHasQuantiles = 4;
 constexpr uint8_t kHasSliding = 8;
 constexpr uint8_t kHasSlidingTop = 16;
 constexpr uint8_t kHasSlidingQuantiles = 32;
+
+/// The presence bit of the one sketch every group of a query with these
+/// options holds (StateFor); SUM groups hold none.
+uint8_t OwnedPresence(const StreamQuery::Options& options) {
+  const bool sliding = options.slide > 0;
+  switch (options.aggregate) {
+    case AggregateKind::kCountDistinct:
+      return sliding ? kHasSliding : kHasDistinct;
+    case AggregateKind::kTopK:
+      return sliding ? kHasSlidingTop : kHasTop;
+    case AggregateKind::kQuantiles:
+      return sliding ? kHasSlidingQuantiles : kHasQuantiles;
+    case AggregateKind::kSum:
+      break;
+  }
+  return 0;
+}
+
+void PutEnvelope(ByteWriter& w, const std::vector<uint8_t>& bytes) {
+  w.PutBytes(bytes.data(), bytes.size());
+}
 
 /// Restores one sketch envelope through the registry, downcasting to the
 /// concrete type the engine expects for this aggregate. The envelope is
@@ -58,17 +74,15 @@ Status RestoreSketch(ByteReader* reader, std::optional<S>* out) {
 
 /// Serializes a pane ring as engine-level state: the ring clock, then each
 /// live pane as (pane id, standard wire envelope) — so a registry-aware
-/// reader can still inspect every sketch inside a checkpoint. The sliding
-/// COUNT DISTINCT state predates this helper and stays a single
-/// SlidingHyperLogLog envelope for v2 compatibility.
+/// reader can still inspect every sketch inside a checkpoint. Sliding
+/// COUNT DISTINCT state is instead one SlidingHyperLogLog envelope.
 template <typename S>
 void SerializeRing(ByteWriter& w, const PaneRing<S>& ring) {
   w.PutU64(ring.last_timestamp());
   w.PutVarint(ring.NumLivePanes());
   ring.ForEachPane([&w](uint64_t id, const S& summary) {
     w.PutU64(id);
-    const std::vector<uint8_t> bytes = summary.Serialize();
-    w.PutBytes(bytes.data(), bytes.size());
+    PutEnvelope(w, summary.Serialize());
   });
 }
 
@@ -178,6 +192,29 @@ Status DeserializeWindows(ByteReader& r, std::deque<WindowResult>* out) {
   return Status::Ok();
 }
 
+std::vector<uint8_t> SealCheckpoint(std::vector<uint8_t> body, uint64_t seed) {
+  const uint64_t checksum = XxHash64(body.data(), body.size(), seed);
+  for (int shift = 0; shift < 64; shift += 8) {
+    body.push_back(static_cast<uint8_t>(checksum >> shift));
+  }
+  return body;
+}
+
+Result<std::span<const uint8_t>> OpenCheckpoint(std::span<const uint8_t> image,
+                                                uint64_t seed,
+                                                const std::string& what) {
+  if (image.size() < 8) return Status::Corruption(what + ": too short");
+  const std::span<const uint8_t> body = image.first(image.size() - 8);
+  uint64_t stored = 0;
+  for (int i = 0; i < 8; ++i) {
+    stored |= static_cast<uint64_t>(image[body.size() + i]) << (8 * i);
+  }
+  if (XxHash64(body.data(), body.size(), seed) != stored) {
+    return Status::Corruption(what + ": checksum mismatch");
+  }
+  return body;
+}
+
 }  // namespace engine_detail
 
 StreamQuery::StreamQuery(const Options& options, uint64_t seed)
@@ -189,14 +226,6 @@ StreamQuery::StreamQuery(const Options& options, uint64_t seed)
 StreamQuery& StreamQuery::AddFilter(
     std::function<bool(const StreamEvent&)> predicate) {
   filters_.push_back(std::move(predicate));
-  return *this;
-}
-
-StreamQuery& StreamQuery::PublishDistinctTo(
-    ConcurrentSummary<HyperLogLog>* live) {
-  GEMS_CHECK(options_.aggregate == AggregateKind::kCountDistinct);
-  GEMS_CHECK(live != nullptr);
-  live_distinct_ = live;
   return *this;
 }
 
@@ -306,9 +335,6 @@ void StreamQuery::ApplyEvent(const StreamEvent& event, const uint64_t* hash) {
       } else {
         state.distinct->Update(event.item);
       }
-      // The live global buffers raw items (it re-hashes on its own batched
-      // drain), so it takes the item, not the precomputed word.
-      if (live_distinct_ != nullptr) live_distinct_->Update(event.item);
       break;
     case AggregateKind::kTopK:
       if (options_.slide > 0) {
@@ -333,26 +359,20 @@ void StreamQuery::ApplyEvent(const StreamEvent& event, const uint64_t* hash) {
 }
 
 Status StreamQuery::Process(const StreamEvent& event) {
-  if (Status s = AdvanceWindow(event); !s.ok()) return s;
-  if (!PassesFilters(event)) return Status::Ok();
-  ApplyEvent(event, nullptr);
-  return Status::Ok();
+  return ProcessBatchPrehashed({&event, 1}, {}, {});
 }
 
 Status StreamQuery::ProcessBatch(std::span<const StreamEvent> events) {
-  // Sliding mode routes per event (each update carries its timestamp into
-  // the group's pane ring, so there is no pane-oblivious hash-once path).
+  // Only non-sliding COUNT DISTINCT consumes hash words (sliding mode
+  // routes each item through its group's pane ring, which hashes itself).
   if (options_.aggregate != AggregateKind::kCountDistinct ||
       options_.slide > 0) {
-    for (const StreamEvent& event : events) {
-      if (Status s = Process(event); !s.ok()) return s;
-    }
-    return Status::Ok();
+    return ProcessBatchPrehashed(events, {}, {});
   }
   // Hash-once pipeline: every group's HLL is built with the query seed, so
   // one Hash64 per event serves whichever group the event lands in. The
   // chunk's hash words are computed in a tight hoisted loop up front; the
-  // per-event pass then only routes (window, filters, group lookup) and
+  // ingest core then only routes (window, filters, group lookup) and
   // applies the precomputed hash.
   uint64_t items[256];
   uint64_t hashes[256];
@@ -360,11 +380,10 @@ Status StreamQuery::ProcessBatch(std::span<const StreamEvent> events) {
     const size_t n = std::min(events.size(), std::size(items));
     for (size_t i = 0; i < n; ++i) items[i] = events[i].item;
     HashBatch(std::span<const uint64_t>(items, n), seed_, hashes);
-    for (size_t i = 0; i < n; ++i) {
-      const StreamEvent& event = events[i];
-      if (Status s = AdvanceWindow(event); !s.ok()) return s;
-      if (!PassesFilters(event)) continue;
-      ApplyEvent(event, &hashes[i]);
+    if (Status s = ProcessBatchPrehashed(
+            events.first(n), std::span<const uint64_t>(hashes, n), {});
+        !s.ok()) {
+      return s;
     }
     events = events.subspan(n);
   }
@@ -389,118 +408,44 @@ Status StreamQuery::ProcessBatchPrehashed(std::span<const StreamEvent> events,
   return Status::Ok();
 }
 
-Status StreamQuery::ProcessBatchParallel(std::span<const StreamEvent> events,
-                                         ThreadPool& pool) {
-  const size_t num_workers = pool.num_threads();
-  if (num_workers <= 1 || options_.slide > 0) return ProcessBatch(events);
-
-  // One routed update: the owning worker applies item/value to the group's
-  // state. Groups are partitioned across workers by hash, so two workers
-  // never touch the same GroupState, and one group's updates stay in
-  // stream order — state ends up byte-identical to the sequential path.
-  // Workers re-find the group at apply time (one flat-table probe) because
-  // routing keeps inserting groups, and an insert may rehash the table.
-  struct Routed {
-    uint64_t group;
-    uint64_t item;
-    int64_t value;
-  };
-  std::vector<std::vector<Routed>> buckets(num_workers);
-  const InvariantMod worker_mod(num_workers);
-
-  auto apply_bucket = [this](std::vector<Routed>& bucket) {
-    switch (options_.aggregate) {
-      case AggregateKind::kCountDistinct: {
-        // Hash-once per worker: each worker hashes its own slice in the
-        // hoisted loop, then feeds precomputed words to its groups' HLLs
-        // (all built with the query seed).
-        uint64_t items[256];
-        uint64_t hashes[256];
-        for (size_t off = 0; off < bucket.size(); off += std::size(items)) {
-          const size_t n = std::min(bucket.size() - off, std::size(items));
-          for (size_t i = 0; i < n; ++i) items[i] = bucket[off + i].item;
-          HashBatch(std::span<const uint64_t>(items, n), seed_, hashes);
-          for (size_t i = 0; i < n; ++i) {
-            groups_.Find(bucket[off + i].group)->distinct->UpdateHash(
-                hashes[i]);
-          }
-        }
-        break;
-      }
-      case AggregateKind::kTopK:
-        for (const Routed& r : bucket) {
-          groups_.Find(r.group)->top->Update(r.item,
-                                             std::max<int64_t>(1, r.value));
-        }
-        break;
-      case AggregateKind::kQuantiles:
-        for (const Routed& r : bucket) {
-          groups_.Find(r.group)->quantiles->Update(
-              static_cast<double>(r.value));
-        }
-        break;
-      case AggregateKind::kSum:
-        for (const Routed& r : bucket) groups_.Find(r.group)->sum += r.value;
-        break;
-    }
-  };
-
-  auto flush = [&] {
-    std::vector<std::function<void()>> tasks;
-    for (std::vector<Routed>& bucket : buckets) {
-      if (bucket.empty()) continue;
-      tasks.push_back([&apply_bucket, &bucket] { apply_bucket(bucket); });
-    }
-    pool.RunAll(std::move(tasks));
-    for (std::vector<Routed>& bucket : buckets) bucket.clear();
-  };
-
-  for (const StreamEvent& event : events) {
-    // Pending routed updates must land before their window closes under
-    // them: CloseWindow snapshots and clears the group table out from
-    // under the group ids the buckets hold.
-    if (options_.window_size > 0 && window_initialized_ &&
-        event.timestamp >= current_window_start_ + options_.window_size) {
-      flush();
-    }
-    if (Status s = AdvanceWindow(event); !s.ok()) {
-      flush();  // Events routed before the error still apply, as in Process.
-      return s;
-    }
-    if (!PassesFilters(event)) continue;
-    StateFor(event.group);  // Materialize the group's sketch for apply.
-    buckets[ShardOf(event.group, worker_mod)].push_back(
-        {event.group, event.item, event.value});
-    // Mirrored on the routing (calling) thread, not the pool workers, so
-    // the live global sees one writer slot per query regardless of pool
-    // size; its own buffering keeps this off the routing hot path.
-    if (live_distinct_ != nullptr) live_distinct_->Update(event.item);
-  }
-  flush();
-  return Status::Ok();
-}
-
-GroupAggregate StreamQuery::Snapshot(uint64_t group,
-                                     const GroupState& state) const {
+GroupAggregate StreamQuery::Snapshot(uint64_t group, GroupState& state,
+                                     uint64_t boundary) const {
   GroupAggregate aggregate;
   aggregate.group = group;
+  // Sliding groups first advance their pane ring to the last instant before
+  // the boundary: that expires panes older than the window without opening
+  // the boundary's own pane, and the memoized WindowSummary() re-merges
+  // only if the group mutated since the last emission.
+  const bool sliding = options_.slide > 0;
   switch (options_.aggregate) {
     case AggregateKind::kCountDistinct:
-      aggregate.scalar = state.distinct->Estimate();
+      if (sliding) {
+        state.sliding->Advance(boundary - 1);
+        aggregate.scalar = state.sliding->WindowSummary().Estimate();
+      } else {
+        aggregate.scalar = state.distinct->Estimate();
+      }
       break;
-    case AggregateKind::kTopK:
-      for (const SpaceSaving::Entry& entry : state.top->TopK(options_.top_k)) {
+    case AggregateKind::kTopK: {
+      if (sliding) state.sliding_top->Advance(boundary - 1);
+      const SpaceSaving& top =
+          sliding ? state.sliding_top->WindowSummary() : *state.top;
+      for (const SpaceSaving::Entry& entry : top.TopK(options_.top_k)) {
         aggregate.top_items.emplace_back(entry.item, entry.count);
       }
       break;
-    case AggregateKind::kQuantiles:
-      if (state.quantiles->Count() == 0) {
+    }
+    case AggregateKind::kQuantiles: {
+      if (sliding) state.sliding_quantiles->Advance(boundary - 1);
+      const KllSketch& kll =
+          sliding ? state.sliding_quantiles->WindowSummary() : *state.quantiles;
+      if (kll.Count() == 0) {
         aggregate.quantiles.assign(options_.quantile_points.size(), 0.0);
       } else {
-        aggregate.quantiles =
-            state.quantiles->Quantiles(options_.quantile_points);
+        aggregate.quantiles = kll.Quantiles(options_.quantile_points);
       }
       break;
+    }
     case AggregateKind::kSum:
       aggregate.scalar = static_cast<double>(state.sum);
       break;
@@ -531,15 +476,11 @@ void StreamQuery::CloseWindow(uint64_t next_window_start) {
                           ? last_timestamp_ + 1
                           : current_window_start_ + options_.window_size;
   for (const auto& [group, state] : SortedGroups()) {
-    result.groups.push_back(Snapshot(group, *state));
+    result.groups.push_back(Snapshot(group, *state, result.window_end));
   }
   closed_.push_back(std::move(result));
   groups_.Clear();
   current_window_start_ = next_window_start;
-  // Window boundaries are the natural staleness bound for the live view:
-  // fold this thread's buffered residual so a reader is at most one open
-  // window behind the query.
-  if (live_distinct_ != nullptr) live_distinct_->FlushLocal();
 }
 
 void StreamQuery::EmitSlidingWindow(uint64_t boundary) {
@@ -549,44 +490,10 @@ void StreamQuery::EmitSlidingWindow(uint64_t boundary) {
                             : 0;
   result.window_end = boundary;
   for (const auto& [group, state] : SortedGroups()) {
-    // Advancing to the last instant before the boundary expires panes
-    // older than the window without opening the boundary's own pane; the
-    // memoized WindowSummary() then re-merges only if this group mutated
-    // since the last emission.
-    GroupAggregate aggregate;
-    aggregate.group = group;
-    switch (options_.aggregate) {
-      case AggregateKind::kCountDistinct:
-        state->sliding->Advance(boundary - 1);
-        aggregate.scalar = state->sliding->WindowSummary().Estimate();
-        break;
-      case AggregateKind::kTopK: {
-        state->sliding_top->Advance(boundary - 1);
-        const SpaceSaving& window = state->sliding_top->WindowSummary();
-        for (const SpaceSaving::Entry& entry : window.TopK(options_.top_k)) {
-          aggregate.top_items.emplace_back(entry.item, entry.count);
-        }
-        break;
-      }
-      case AggregateKind::kQuantiles: {
-        state->sliding_quantiles->Advance(boundary - 1);
-        const KllSketch& window = state->sliding_quantiles->WindowSummary();
-        if (window.Count() == 0) {
-          aggregate.quantiles.assign(options_.quantile_points.size(), 0.0);
-        } else {
-          aggregate.quantiles = window.Quantiles(options_.quantile_points);
-        }
-        break;
-      }
-      case AggregateKind::kSum:
-        break;  // Unreachable: AdvanceWindow rejects sliding kSum.
-    }
-    result.groups.push_back(std::move(aggregate));
+    result.groups.push_back(Snapshot(group, *state, boundary));
   }
   closed_.push_back(std::move(result));
   current_window_start_ = boundary;
-  // Same staleness bound as tumbling closes for the live view.
-  if (live_distinct_ != nullptr) live_distinct_->FlushLocal();
 }
 
 std::vector<WindowResult> StreamQuery::Poll() {
@@ -637,66 +544,45 @@ std::vector<uint8_t> StreamQuery::SerializeState() const {
   // Open groups, sorted by group id (the flat table's own order is
   // insertion-dependent); each sketch is a standard wire envelope, so any
   // registry-aware reader can inspect a checkpoint's sketches.
+  const uint8_t present = OwnedPresence(options_);
   w.PutVarint(groups_.size());
   for (const auto& [group, state] : SortedGroups()) {
     w.PutU64(group);
     w.PutI64(state->sum);
-    uint8_t present = 0;
-    if (state->distinct.has_value()) present |= kHasDistinct;
-    if (state->top.has_value()) present |= kHasTop;
-    if (state->quantiles.has_value()) present |= kHasQuantiles;
-    if (state->sliding.has_value()) present |= kHasSliding;
-    if (state->sliding_top.has_value()) present |= kHasSlidingTop;
-    if (state->sliding_quantiles.has_value()) present |= kHasSlidingQuantiles;
     w.PutU8(present);
-    if (state->distinct.has_value()) {
-      const std::vector<uint8_t> bytes = state->distinct->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
-    if (state->sliding.has_value()) {
-      const std::vector<uint8_t> bytes = state->sliding->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
-    if (state->sliding_top.has_value()) {
-      SerializeRing(w, *state->sliding_top);
-    }
-    if (state->sliding_quantiles.has_value()) {
-      SerializeRing(w, *state->sliding_quantiles);
-    }
-    if (state->top.has_value()) {
-      const std::vector<uint8_t> bytes = state->top->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
-    }
-    if (state->quantiles.has_value()) {
-      const std::vector<uint8_t> bytes = state->quantiles->Serialize();
-      w.PutBytes(bytes.data(), bytes.size());
+    switch (present) {
+      case kHasDistinct:
+        PutEnvelope(w, state->distinct->Serialize());
+        break;
+      case kHasSliding:
+        PutEnvelope(w, state->sliding->Serialize());
+        break;
+      case kHasSlidingTop:
+        SerializeRing(w, *state->sliding_top);
+        break;
+      case kHasSlidingQuantiles:
+        SerializeRing(w, *state->sliding_quantiles);
+        break;
+      case kHasTop:
+        PutEnvelope(w, state->top->Serialize());
+        break;
+      case kHasQuantiles:
+        PutEnvelope(w, state->quantiles->Serialize());
+        break;
     }
   }
   // Closed-but-unpolled windows (already materialized results).
   engine_detail::SerializeWindows(w, closed_);
-  std::vector<uint8_t> body = std::move(w).TakeBytes();
-  const uint64_t checksum =
-      XxHash64(body.data(), body.size(), kCheckpointChecksumSeed);
-  for (int shift = 0; shift < 64; shift += 8) {
-    body.push_back(static_cast<uint8_t>(checksum >> shift));
-  }
-  return body;
+  return engine_detail::SealCheckpoint(std::move(w).TakeBytes(),
+                                       engine_detail::kQueryCheckpointSeed);
 }
 
 Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
   RegisterBuiltinSketches();
-  if (bytes.size() < 8) {
-    return Status::Corruption("stream query checkpoint: too short");
-  }
-  const size_t body_size = bytes.size() - 8;
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(bytes[body_size + i]) << (8 * i);
-  }
-  if (XxHash64(bytes.data(), body_size, kCheckpointChecksumSeed) != stored) {
-    return Status::Corruption("stream query checkpoint: checksum mismatch");
-  }
-  ByteReader r(bytes.data(), body_size);
+  Result<std::span<const uint8_t>> body = engine_detail::OpenCheckpoint(
+      bytes, engine_detail::kQueryCheckpointSeed, "stream query checkpoint");
+  if (!body.ok()) return body.status();
+  ByteReader r(body.value());
   uint32_t magic;
   uint8_t version;
   if (Status s = r.GetU32(&magic); !s.ok()) return s;
@@ -704,31 +590,23 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
     return Status::Corruption("stream query checkpoint: bad magic");
   }
   if (Status s = r.GetU8(&version); !s.ok()) return s;
-  if (version < 1 || version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     return Status::Corruption(
         "stream query checkpoint: unsupported version");
   }
   uint8_t aggregate, hll_precision;
-  uint64_t window_size, slide = 0, top_capacity, top_k, seed;
+  uint64_t window_size, slide, top_capacity, top_k, seed;
   uint32_t kll_k;
   if (Status s = r.GetU8(&aggregate); !s.ok()) return s;
   if (Status s = r.GetU64(&window_size); !s.ok()) return s;
-  if (version >= 2) {
-    if (Status s = r.GetU64(&slide); !s.ok()) return s;
-  }
+  if (Status s = r.GetU64(&slide); !s.ok()) return s;
   if (Status s = r.GetU8(&hll_precision); !s.ok()) return s;
   if (Status s = r.GetVarint(&top_capacity); !s.ok()) return s;
   if (Status s = r.GetVarint(&top_k); !s.ok()) return s;
   if (Status s = r.GetU32(&kll_k); !s.ok()) return s;
   if (Status s = r.GetU64(&seed); !s.ok()) return s;
-  // Version 3 images carry aggregate-relevant knobs only (unused fields
-  // zeroed); version 1/2 images were written with the raw option values.
   const engine_detail::OptionKnobs expected =
-      version >= 3
-          ? engine_detail::RelevantKnobs(options_)
-          : engine_detail::OptionKnobs{
-                static_cast<uint8_t>(options_.hll_precision),
-                options_.top_k_capacity, options_.top_k, options_.kll_k};
+      engine_detail::RelevantKnobs(options_);
   if (aggregate != static_cast<uint8_t>(options_.aggregate) ||
       window_size != options_.window_size || slide != options_.slide ||
       hll_precision != expected.hll_precision ||
@@ -748,6 +626,7 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
   if (Status s = r.GetU64(&last_timestamp); !s.ok()) return s;
   if (Status s = r.GetVarint(&num_groups); !s.ok()) return s;
 
+  const uint8_t owned = OwnedPresence(options_);
   const size_t ring_panes =
       options_.slide > 0 ? options_.window_size / options_.slide : 0;
   FlatMap64<GroupState> groups;
@@ -758,57 +637,38 @@ Status StreamQuery::RestoreState(std::span<const uint8_t> bytes) {
     if (Status s = r.GetU64(&group); !s.ok()) return s;
     if (Status s = r.GetI64(&state.sum); !s.ok()) return s;
     if (Status s = r.GetU8(&present); !s.ok()) return s;
-    uint8_t known = kHasDistinct | kHasTop | kHasQuantiles;
-    if (version >= 2) known |= kHasSliding;
-    if (version >= 3) known |= kHasSlidingTop | kHasSlidingQuantiles;
-    if ((present & ~known) != 0) {
+    // Every group of a live query holds exactly the sketch its aggregate
+    // owns; any other mask is a forged or damaged image that would leave
+    // Snapshot reading an empty sketch slot.
+    if (present != owned) {
       return Status::Corruption(
-          "stream query checkpoint: unknown sketch presence bits");
+          "stream query checkpoint: group sketch does not match the "
+          "query's aggregate");
     }
-    // Pane rings can only be rebuilt when the query's own options define
-    // their geometry; a ring bit without a matching sliding aggregate is a
-    // forged or damaged image (the fingerprint above already matched).
-    if ((present & kHasSlidingTop) != 0 &&
-        (options_.slide == 0 || options_.aggregate != AggregateKind::kTopK)) {
-      return Status::Corruption(
-          "stream query checkpoint: sliding TOP-K state in a non-sliding "
-          "query");
+    Status s = Status::Ok();
+    switch (present) {
+      case kHasDistinct:
+        s = RestoreSketch(&r, &state.distinct);
+        break;
+      case kHasSliding:
+        s = RestoreSketch(&r, &state.sliding);
+        break;
+      case kHasSlidingTop:
+        s = RestoreRing(&r, SpaceSaving(options_.top_k_capacity),
+                        options_.slide, ring_panes, &state.sliding_top);
+        break;
+      case kHasSlidingQuantiles:
+        s = RestoreRing(&r, KllSketch(options_.kll_k, Hash64(group, seed_)),
+                        options_.slide, ring_panes, &state.sliding_quantiles);
+        break;
+      case kHasTop:
+        s = RestoreSketch(&r, &state.top);
+        break;
+      case kHasQuantiles:
+        s = RestoreSketch(&r, &state.quantiles);
+        break;
     }
-    if ((present & kHasSlidingQuantiles) != 0 &&
-        (options_.slide == 0 ||
-         options_.aggregate != AggregateKind::kQuantiles)) {
-      return Status::Corruption(
-          "stream query checkpoint: sliding QUANTILES state in a "
-          "non-sliding query");
-    }
-    if (present & kHasDistinct) {
-      if (Status s = RestoreSketch(&r, &state.distinct); !s.ok()) return s;
-    }
-    if (present & kHasSliding) {
-      if (Status s = RestoreSketch(&r, &state.sliding); !s.ok()) return s;
-    }
-    if (present & kHasSlidingTop) {
-      if (Status s = RestoreRing(&r, SpaceSaving(options_.top_k_capacity),
-                                 options_.slide, ring_panes,
-                                 &state.sliding_top);
-          !s.ok()) {
-        return s;
-      }
-    }
-    if (present & kHasSlidingQuantiles) {
-      if (Status s = RestoreRing(
-              &r, KllSketch(options_.kll_k, Hash64(group, seed_)),
-              options_.slide, ring_panes, &state.sliding_quantiles);
-          !s.ok()) {
-        return s;
-      }
-    }
-    if (present & kHasTop) {
-      if (Status s = RestoreSketch(&r, &state.top); !s.ok()) return s;
-    }
-    if (present & kHasQuantiles) {
-      if (Status s = RestoreSketch(&r, &state.quantiles); !s.ok()) return s;
-    }
+    if (!s.ok()) return s;
     groups[group] = std::move(state);
   }
 

@@ -6,14 +6,13 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cardinality/hyperloglog.h"
 #include "common/bytes.h"
 #include "common/flat_map.h"
 #include "common/status.h"
-#include "distributed/concurrent/concurrent_summary.h"
-#include "distributed/thread_pool.h"
 #include "frequency/space_saving.h"
 #include "quantiles/kll.h"
 #include "time/pane_ring.h"
@@ -105,45 +104,23 @@ class StreamQuery {
   /// dropped. Returns *this for chaining.
   StreamQuery& AddFilter(std::function<bool(const StreamEvent&)> predicate);
 
-  /// Mirrors every accepted (post-filter) event's item into `live`, a
-  /// wait-free concurrent HLL that other threads can query while this
-  /// query ingests — the stream-wide live distinct count, across groups
-  /// and windows. Only valid for kCountDistinct queries; `live` should be
-  /// built with the query's precision and seed and must outlive the
-  /// query. Window closes flush the query thread's residual so a reader
-  /// is never more than one window plus one local buffer stale. Returns
-  /// *this for chaining.
-  StreamQuery& PublishDistinctTo(ConcurrentSummary<HyperLogLog>* live);
-
   /// Processes one event. Timestamps must be non-decreasing; an event in a
   /// later window closes the current one.
   Status Process(const StreamEvent& event);
 
   /// Processes a batch of events with the hash-once ingest pipeline: for
-  /// COUNT DISTINCT queries each event's item is hashed exactly once per
-  /// chunk (all groups' HLLs share the query seed, so the hash word feeds
-  /// whichever group the event lands in), instead of once per sketch
-  /// probe. Other aggregates process per-event. Window, ordering, and
-  /// filter semantics are identical to calling Process() per event, and
-  /// the resulting state is byte-identical. Stops at the first error.
+  /// non-sliding COUNT DISTINCT queries each event's item is hashed exactly
+  /// once per chunk (all groups' HLLs share the query seed, so the hash
+  /// word feeds whichever group the event lands in), instead of once per
+  /// sketch probe. Window, ordering, and filter semantics are identical to
+  /// calling Process() per event, and the resulting state is
+  /// byte-identical. Stops at the first error.
   Status ProcessBatch(std::span<const StreamEvent> events);
 
-  /// Multi-core variant of ProcessBatch: events are partitioned by
-  /// group-key hash, so each pool worker owns a disjoint slice of the
-  /// GROUP-BY table and updates its groups' sketches with no locks. Window
-  /// advancement and filters stay sequential (they are ordered and cheap);
-  /// the sketch updates — the hot part of the Gigascope-style
-  /// many-sketches workload — run in parallel per window segment. Because
-  /// a group's events are all owned by one worker and applied in stream
-  /// order, the resulting state is byte-identical (SerializeState) to
-  /// calling Process() per event. Stops at the first error; events routed
-  /// before the error are applied.
-  Status ProcessBatchParallel(std::span<const StreamEvent> events,
-                              ThreadPool& pool);
-
-  /// Shared-ingest entry point used by MultiQueryEngine: processes a batch
-  /// whose item column has already been hashed once under this query's
-  /// seed, with filter decisions precomputed per event.
+  /// The ingest core: Process and ProcessBatch funnel into it, and
+  /// MultiQueryEngine calls it directly with a batch whose item column has
+  /// already been hashed once under this query's seed, with filter
+  /// decisions precomputed per event.
   ///
   ///  - `hashes`, when non-empty, parallels `events` with
   ///    hashes[i] == Hash64(events[i].item, seed); non-sliding COUNT
@@ -209,7 +186,10 @@ class StreamQuery {
   /// Sliding mode: emits the window ending at `boundary` (exclusive) over
   /// every group's pane ring, without clearing the group table.
   void EmitSlidingWindow(uint64_t boundary);
-  GroupAggregate Snapshot(uint64_t group, const GroupState& state) const;
+  /// One group's result row for the window ending at `boundary`
+  /// (exclusive; sliding groups advance their pane ring to it).
+  GroupAggregate Snapshot(uint64_t group, GroupState& state,
+                          uint64_t boundary) const;
   /// The open groups as (group id, state) pairs sorted by group id — the
   /// flat table iterates in hash order, so ordered emission (window
   /// snapshots, checkpoints) sorts here.
@@ -217,7 +197,6 @@ class StreamQuery {
 
   Options options_;
   uint64_t seed_;
-  ConcurrentSummary<HyperLogLog>* live_distinct_ = nullptr;
   std::vector<std::function<bool(const StreamEvent&)>> filters_;
   uint64_t current_window_start_ = 0;
   bool window_initialized_ = false;
@@ -237,7 +216,7 @@ Status DeserializeWindows(ByteReader& r, std::deque<WindowResult>* out);
 /// The sketch knobs that actually shape a query's state and results,
 /// with every knob the aggregate does not read zeroed out: a SUM query's
 /// kll_k setting, a COUNT DISTINCT query's top_k_capacity, and so on are
-/// canonicalized away. Checkpoint fingerprints (version 3+) and the
+/// canonicalized away. Checkpoint fingerprints and the
 /// MultiQueryEngine's state-dedup key are built from this, so two queries
 /// that differ only in unused knobs are byte-identical — and shareable.
 struct OptionKnobs {
@@ -248,6 +227,22 @@ struct OptionKnobs {
 };
 
 OptionKnobs RelevantKnobs(const StreamQuery::Options& options);
+
+/// Checkpoint framing shared by StreamQuery and MultiQueryEngine images:
+/// the body, then its XXH64 (little-endian) under a per-format seed, so
+/// damage to engine-level fields (sums, window bounds, cursors) is caught
+/// as reliably as damage inside a sketch envelope.
+inline constexpr uint64_t kQueryCheckpointSeed = 0x474D5351;   // "QSMG".
+inline constexpr uint64_t kEngineCheckpointSeed = 0x4D4D5347;  // "GSMM".
+
+/// Appends the checksum trailer to `body` and returns the sealed image.
+std::vector<uint8_t> SealCheckpoint(std::vector<uint8_t> body, uint64_t seed);
+
+/// Checks a sealed image's length and checksum and returns the body in
+/// front of the trailer; failures are kCorruption prefixed with `what`.
+Result<std::span<const uint8_t>> OpenCheckpoint(std::span<const uint8_t> image,
+                                                uint64_t seed,
+                                                const std::string& what);
 
 }  // namespace engine_detail
 

@@ -243,11 +243,6 @@ class PaneRing {
   std::deque<Pane> panes_;
 };
 
-/// The engine-era name; PaneRing is the same template promoted into the
-/// time family.
-template <typename S>
-using SlidingWindowSummary = PaneRing<S>;
-
 }  // namespace gems
 
 #endif  // GEMS_TIME_PANE_RING_H_

@@ -7,11 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "cardinality/hyperloglog.h"
-#include "distributed/thread_pool.h"
-#include "engine/exponential_histogram.h"
-#include "engine/sliding_window.h"
 #include "engine/stream_query.h"
 #include "frequency/count_min.h"
+#include "time/exponential_histogram.h"
+#include "time/pane_ring.h"
 #include "workload/baselines.h"
 #include "workload/generators.h"
 
@@ -297,58 +296,6 @@ TEST(StreamQueryTest, ProcessBatchFallbackAggregatesMatch) {
   }
 }
 
-TEST(StreamQueryTest, ProcessBatchParallelMatchesPerEventExactly) {
-  // The partitioned multi-core path must leave the query byte-identical to
-  // per-event processing for every aggregate kind: each group is owned by
-  // one worker and its updates are applied in stream order.
-  ThreadPool pool(4);
-  for (AggregateKind kind :
-       {AggregateKind::kCountDistinct, AggregateKind::kTopK,
-        AggregateKind::kQuantiles, AggregateKind::kSum}) {
-    StreamQuery::Options options;
-    options.aggregate = kind;
-    options.window_size = 700;  // Several closes inside the batch.
-    StreamQuery per_event(options, 11);
-    StreamQuery parallel(options, 11);
-    per_event.AddFilter([](const StreamEvent& e) { return e.item % 9 != 0; });
-    parallel.AddFilter([](const StreamEvent& e) { return e.item % 9 != 0; });
-
-    std::vector<StreamEvent> events;
-    for (uint64_t i = 0; i < 5000; ++i) {
-      events.push_back(Event(i, i % 37, i * 0x9E3779B97F4A7C15ull >> 32,
-                             int64_t(i % 13)));
-    }
-    for (const StreamEvent& e : events) {
-      ASSERT_TRUE(per_event.Process(e).ok());
-    }
-    // Ragged slices, so segments straddle Push boundaries too.
-    std::span<const StreamEvent> span(events);
-    size_t offset = 0;
-    for (size_t n : {1u, 699u, 700u, 1500u, 2100u}) {
-      ASSERT_TRUE(parallel.ProcessBatchParallel(span.subspan(offset, n), pool)
-                      .ok());
-      offset += n;
-    }
-    ASSERT_EQ(offset, events.size());
-    EXPECT_EQ(parallel.SerializeState(), per_event.SerializeState());
-    EXPECT_EQ(parallel.NumOpenGroups(), per_event.NumOpenGroups());
-  }
-}
-
-TEST(StreamQueryTest, ProcessBatchParallelStopsAtFirstError) {
-  ThreadPool pool(2);
-  StreamQuery::Options options;
-  options.aggregate = AggregateKind::kCountDistinct;
-  StreamQuery query(options, 1);
-  const std::vector<StreamEvent> events = {Event(10, 0, 1), Event(11, 0, 2),
-                                           Event(5, 0, 3), Event(12, 0, 4)};
-  EXPECT_FALSE(query.ProcessBatchParallel(events, pool).ok());
-  StreamQuery expected(options, 1);
-  ASSERT_TRUE(expected.Process(Event(10, 0, 1)).ok());
-  ASSERT_TRUE(expected.Process(Event(11, 0, 2)).ok());
-  EXPECT_EQ(query.SerializeState(), expected.SerializeState());
-}
-
 TEST(StreamQueryTest, ProcessBatchStopsAtFirstError) {
   StreamQuery::Options options;
   options.aggregate = AggregateKind::kCountDistinct;
@@ -404,74 +351,6 @@ TEST(StreamQueryTest, RestoreRejectsMismatchedOptionsAndCorruption) {
         << "flip at " << pos << ": " << s.ToString();
   }
   EXPECT_EQ(victim.NumOpenGroups(), 1u);  // Still its own state.
-}
-
-TEST(StreamQueryTest, LiveDistinctPublishesUnderIngest) {
-  // The engine's concurrent hook: a wait-free ConcurrentSummary<HLL> that
-  // mirrors every accepted event's item across groups and windows, so
-  // another thread can read the stream-wide distinct count while the
-  // query ingests. Window closes flush the query thread's residual.
-  StreamQuery::Options options;
-  options.aggregate = AggregateKind::kCountDistinct;
-  options.window_size = 500;
-  options.hll_precision = 12;
-  StreamQuery query(options, 77);
-  // Drop odd items: the live view must see accepted events only.
-  query.AddFilter([](const StreamEvent& e) { return e.item % 2 == 0; });
-  ConcurrentSummary<HyperLogLog> live(HyperLogLog(12, 77),
-                                      {.buffer_items = 512});
-  query.PublishDistinctTo(&live);
-
-  constexpr uint64_t kEvents = 20000;
-  std::vector<StreamEvent> events;
-  events.reserve(kEvents);
-  for (uint64_t i = 0; i < kEvents; ++i) {
-    // 4 events per timestamp tick -> a window closes every 2000 events.
-    events.push_back(Event(i / 4, i % 8, i));
-  }
-  HyperLogLog sequential(12, 77);
-  for (const StreamEvent& e : events) {
-    if (e.item % 2 == 0) sequential.Update(e.item);
-  }
-
-  std::span<const StreamEvent> span(events);
-  ASSERT_TRUE(query.ProcessBatch(span.subspan(0, kEvents / 2)).ok());
-  // Mid-ingest: closed windows have flushed the live view, so a reader
-  // sees a bounded-staleness estimate that is already most of the stream.
-  EXPECT_GT(live.epoch(), 0u);
-  EXPECT_GT(live.Estimate(), 0.0);
-  for (size_t off = kEvents / 2; off < span.size(); off += 1000) {
-    ASSERT_TRUE(query.ProcessBatch(span.subspan(off, 1000)).ok());
-  }
-  query.Flush();
-
-  // Quiesced: the live view saw exactly the accepted items, in one
-  // thread, so it is byte-identical to the sequential reference.
-  EXPECT_EQ(live.Snapshot().value().Serialize(), sequential.Serialize());
-  EXPECT_NEAR(live.Estimate(), kEvents / 2.0, 0.05 * kEvents / 2.0);
-}
-
-TEST(StreamQueryTest, LiveDistinctMirrorsParallelRoutingThread) {
-  // ProcessBatchParallel mirrors items on the routing (calling) thread,
-  // not the pool workers — the live count must still cover every
-  // accepted event.
-  StreamQuery::Options options;
-  options.aggregate = AggregateKind::kCountDistinct;
-  options.hll_precision = 12;
-  StreamQuery query(options, 78);
-  ConcurrentSummary<HyperLogLog> live(HyperLogLog(12, 78));
-  query.PublishDistinctTo(&live);
-  ThreadPool pool(4);
-  constexpr uint64_t kEvents = 20000;
-  std::vector<StreamEvent> events;
-  events.reserve(kEvents);
-  for (uint64_t i = 0; i < kEvents; ++i) {
-    events.push_back(Event(1, i % 64, i));
-  }
-  ASSERT_TRUE(query.ProcessBatchParallel(events, pool).ok());
-  query.Flush();
-  live.FlushLocal();
-  EXPECT_NEAR(live.Estimate(), kEvents, 0.05 * kEvents);
 }
 
 TEST(ExponentialHistogramTest, ExactWhileSmall) {
@@ -531,7 +410,7 @@ TEST(ExponentialHistogramTest, ErrorShrinksWithEpsilon) {
 TEST(SlidingWindowTest, ExpiresOldPanes) {
   // Window = 4 panes x 100 units. Items seen in pane 0 must be gone once
   // time passes 400 units later.
-  SlidingWindowSummary<HyperLogLog> window(HyperLogLog(12, 1), 100, 4);
+  PaneRing<HyperLogLog> window(HyperLogLog(12, 1), 100, 4);
   for (uint64_t i = 0; i < 1000; ++i) {
     window.Update(/*timestamp=*/50, i);  // All in pane 0.
   }
@@ -545,7 +424,7 @@ TEST(SlidingWindowTest, ExpiresOldPanes) {
 }
 
 TEST(SlidingWindowTest, GradualSlideTracksRecentDistincts) {
-  SlidingWindowSummary<HyperLogLog> window(HyperLogLog(12, 2), 10, 10);
+  PaneRing<HyperLogLog> window(HyperLogLog(12, 2), 10, 10);
   // 100 time units of window; emit 10 fresh items per unit.
   uint64_t next_item = 0;
   for (uint64_t t = 0; t < 500; ++t) {
@@ -560,7 +439,7 @@ TEST(SlidingWindowTest, GradualSlideTracksRecentDistincts) {
 }
 
 TEST(SlidingWindowTest, WorksWithCountMin) {
-  SlidingWindowSummary<CountMinSketch> window(CountMinSketch(256, 4, 3), 10,
+  PaneRing<CountMinSketch> window(CountMinSketch(256, 4, 3), 10,
                                               5);
   // Heavy item appears only in the first pane.
   for (int i = 0; i < 100; ++i) window.Update(0, /*item=*/7, /*weight=*/1);
@@ -571,7 +450,7 @@ TEST(SlidingWindowTest, WorksWithCountMin) {
 }
 
 TEST(SlidingWindowTest, PaneCountStaysBounded) {
-  SlidingWindowSummary<HyperLogLog> window(HyperLogLog(8, 4), 1, 8);
+  PaneRing<HyperLogLog> window(HyperLogLog(8, 4), 1, 8);
   for (uint64_t t = 0; t < 10000; t += 3) {
     window.Update(t, t);
     EXPECT_LE(window.NumLivePanes(), 8u);
