@@ -61,8 +61,10 @@ constexpr double kBiasTable[5][kBiasPoints] = {
      1093.4, 790.9, 551.8, 396.1, 317.5, 229.9, 167.0, 131.3, 121.5, 130.1,
      131.0, 149.6, 147.6, 162.1, 172.4}};
 
-// Linear-interpolated bias of the raw estimate `raw` at precision p;
-// 0 outside the tabulated precisions/range.
+}  // namespace
+
+namespace hllpp_internal {
+
 double BiasEstimate(int p, double raw) {
   if (p < kBiasTableMinP || p > kBiasTableMaxP) return 0.0;
   const double* raws = kRawEstimateTable[p - kBiasTableMinP];
@@ -75,9 +77,6 @@ double BiasEstimate(int p, double raw) {
   return biases[hi - 1] + t * (biases[hi] - biases[hi - 1]);
 }
 
-// Cardinality below which linear counting over the dense registers is
-// preferred to the bias-corrected raw estimate (Heule et al.'s empirical
-// thresholds for p = 10..14).
 double LinearCountingThreshold(int p) {
   switch (p) {
     case 10:
@@ -95,7 +94,7 @@ double LinearCountingThreshold(int p) {
   }
 }
 
-}  // namespace
+}  // namespace hllpp_internal
 
 HllPlusPlus::HllPlusPlus(int precision, uint64_t seed)
     : precision_(precision),
@@ -193,16 +192,19 @@ double HllPlusPlus::Estimate() const {
   // bias-correct the raw estimate in its mid-range and prefer linear
   // counting below the empirical threshold; otherwise fall back to the
   // classic corrected estimator.
-  const double threshold = LinearCountingThreshold(precision_);
+  const double threshold =
+      hllpp_internal::LinearCountingThreshold(precision_);
   if (threshold == 0) return dense_.Estimate();
   const double m = static_cast<double>(dense_.num_registers());
-  const uint32_t zeros = dense_.NumZeroRegisters();
+  uint32_t zeros;
+  const double raw = dense_.RawCountAndZeros(&zeros);
   if (zeros > 0) {
     const double linear = m * std::log(m / static_cast<double>(zeros));
     if (linear <= threshold) return linear;
   }
-  const double raw = dense_.RawCount();
-  if (raw <= 5.0 * m) return raw - BiasEstimate(precision_, raw);
+  if (raw <= 5.0 * m) {
+    return raw - hllpp_internal::BiasEstimate(precision_, raw);
+  }
   return raw;
 }
 

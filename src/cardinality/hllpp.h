@@ -32,6 +32,19 @@
 
 namespace gems {
 
+namespace hllpp_internal {
+
+/// Linear-interpolated bias of the raw dense estimate `raw` at precision
+/// p; 0 outside the tabulated precisions/range.
+double BiasEstimate(int p, double raw);
+
+/// Cardinality below which linear counting over the dense registers is
+/// preferred to the bias-corrected raw estimate (Heule et al.'s empirical
+/// thresholds for p = 10..14); 0 outside the table.
+double LinearCountingThreshold(int p);
+
+}  // namespace hllpp_internal
+
 /// HLL++ sketch: sparse then dense.
 class HllPlusPlus {
  public:

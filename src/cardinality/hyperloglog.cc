@@ -91,33 +91,29 @@ void HyperLogLog::UpdateBatch(std::span<const uint64_t> items) {
                      items.size(), mixed_seed);
 }
 
-double HyperLogLog::RawCount() const {
+double HyperLogLog::RawCountAndZeros(uint32_t* zeros) const {
   const double m = static_cast<double>(registers_.size());
   double harmonic;
-  uint32_t zeros;
   simd::Kernels().hll_harmonic_sum(registers_.data(), registers_.size(),
-                                   &harmonic, &zeros);
+                                   &harmonic, zeros);
   return Alpha(static_cast<uint32_t>(registers_.size())) * m * m / harmonic;
 }
 
-uint32_t HyperLogLog::NumZeroRegisters() const {
-  double harmonic;
+double HyperLogLog::RawCount() const {
   uint32_t zeros;
-  simd::Kernels().hll_harmonic_sum(registers_.data(), registers_.size(),
-                                   &harmonic, &zeros);
+  return RawCountAndZeros(&zeros);
+}
+
+uint32_t HyperLogLog::NumZeroRegisters() const {
+  uint32_t zeros;
+  RawCountAndZeros(&zeros);
   return zeros;
 }
 
 double HyperLogLog::Estimate() const {
-  // One kernel pass yields both the harmonic sum and the zero-register
-  // count the small-range correction needs.
   const double m = static_cast<double>(registers_.size());
-  double harmonic;
   uint32_t zeros;
-  simd::Kernels().hll_harmonic_sum(registers_.data(), registers_.size(),
-                                   &harmonic, &zeros);
-  const double raw =
-      Alpha(static_cast<uint32_t>(registers_.size())) * m * m / harmonic;
+  const double raw = RawCountAndZeros(&zeros);
   if (raw <= 2.5 * m && zeros > 0) {
     // Small-range correction: linear counting over the registers.
     return m * std::log(m / static_cast<double>(zeros));

@@ -98,6 +98,10 @@ class HyperLogLog {
  private:
   friend class HllPlusPlus;  // Converts sparse representations into dense.
 
+  /// RawCount() and the zero-register count from one kernel pass over
+  /// the registers.
+  double RawCountAndZeros(uint32_t* zeros) const;
+
   int precision_;
   uint64_t seed_;
   // Hugepage-backed above the allocator threshold (precision 18 tops out at

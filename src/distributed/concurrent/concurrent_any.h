@@ -18,7 +18,10 @@
 /// is copy-on-write, which composes cleanly with the delta-fold design:
 /// publishing shares the global's representation with readers, and the
 /// next fold's mutation clones it first (EnsureUnique sees the shared
-/// count), so pinned readers always see an immutable version.
+/// count), so pinned readers always see an immutable version. Because the
+/// request-scoped folds below publish on the next read rather than on
+/// every write, a run of writes with no read between them pays that clone
+/// at most once.
 
 namespace gems {
 
@@ -97,25 +100,26 @@ class ConcurrentAnySketch {
   }
 
   /// Folds a batch straight into the global state under the fold mutex
-  /// and publishes before returning — the request-scoped ingest path for
-  /// servers fronting very many keys. The per-thread slot machinery binds
+  /// — the request-scoped ingest path for servers fronting very many keys. The per-thread slot machinery binds
   /// one TLS entry per (thread, instance) and its lookup is linear in the
   /// instances a thread has touched, which is exactly wrong for a daemon
   /// whose threads touch millions of keys; this path skips it entirely
   /// while still going through the batched (SIMD-dispatched) UpdateBatch
-  /// fast path. Ack-visible: once this returns, every subsequent query on
-  /// any thread sees the items.
+  /// fast path. Ack-visible: once this returns, every read that starts
+  /// afterwards on any thread sees the items. The first such read takes
+  /// the fold mutex once to publish them (see FoldExternal); concurrent
+  /// reads that started earlier may or may not see them, never a torn
+  /// state.
   Status ApplyBatch(std::span<const uint64_t> items) {
     return impl_->FoldExternal(
         [&](AnySketch& global) { return global.UpdateBatch(items); });
   }
 
-  /// Folds a timestamped batch into the global state and publishes — the
-  /// timed analogue of ApplyBatch. Pane rotation and decay happen inside
-  /// the fold, so the new epoch is published atomically: readers see
-  /// either the pre-rotation or post-rotation state, and Estimate() stays
-  /// one atomic load throughout. Untimed sketches ingest the items and
-  /// ignore the timestamps.
+  /// Folds a timestamped batch into the global state — the timed analogue
+  /// of ApplyBatch, with the same visibility. Pane rotation and decay
+  /// happen inside the fold, so readers see either the pre-rotation or
+  /// post-rotation state, never a mix. Untimed sketches ingest the items
+  /// and ignore the timestamps.
   Status ApplyBatchTimed(std::span<const uint64_t> timestamps,
                          std::span<const uint64_t> items) {
     return impl_->FoldExternal([&](AnySketch& global) {
@@ -124,29 +128,30 @@ class ConcurrentAnySketch {
   }
 
   /// Advances a timed sketch's clock (rotating/expiring panes, decaying
-  /// counts) and publishes the result as a new epoch. kUnimplemented for
-  /// untimed sketches.
+  /// counts); the next read publishes the result as a new epoch.
+  /// kUnimplemented for untimed sketches.
   Status Advance(uint64_t now) {
     return impl_->FoldExternal(
         [&](AnySketch& global) { return global.Advance(now); });
   }
 
-  /// Wait-free one-line estimate of the published version.
+  /// One-line estimate of the published version (reads catch up a
+  /// pending fold first, as every read here does).
   std::string EstimateSummary() const {
     return impl_->Query(
         [](const AnySketch& s) { return s.EstimateSummary(); });
   }
 
-  /// Wait-free typed whole-sketch estimate with bounds, read from the
-  /// epoch-published version — never blocks or is blocked by ingest.
-  /// kUnimplemented for families without a global estimate.
+  /// Typed whole-sketch estimate with bounds, read from the epoch-
+  /// published version. kUnimplemented for families without a global
+  /// estimate.
   Result<gems::Estimate> EstimateWithBounds(double confidence = 0.95) const {
     return impl_->Query([&](const AnySketch& s) {
       return s.EstimateWithBounds(confidence);
     });
   }
 
-  /// Wait-free typed per-item estimate (frequency families).
+  /// Typed per-item estimate (frequency families).
   Result<gems::Estimate> EstimateItemWithBounds(
       uint64_t item, double confidence = 0.95) const {
     return impl_->Query([&](const AnySketch& s) {
@@ -156,8 +161,8 @@ class ConcurrentAnySketch {
 
   /// Merges a wrapped serialized peer into the live state, zero-copy for
   /// families with a view merge. Type mismatches and parameter-mismatched
-  /// merges surface as the sketch's own typed status; nothing is
-  /// published on failure. The view's bytes are only borrowed for the
+  /// merges surface as the sketch's own typed status; a failed merge
+  /// leaves nothing to publish. The view's bytes are only borrowed for the
   /// duration of the call.
   Status MergeFromView(const SketchView& view) {
     if (view.type() != prototype_type_) {
@@ -194,7 +199,8 @@ class ConcurrentAnySketch {
   /// calling thread); the returned handle is an independent COW copy.
   Result<AnySketch> Snapshot() const { return impl_->Snapshot(); }
 
-  /// Publication version; monotone staleness probe.
+  /// Publication version: counts publications readers have observed, not
+  /// folds; monotone staleness probe.
   uint64_t epoch() const { return impl_->epoch(); }
 
   /// Folds and publishes the calling thread's residual state.

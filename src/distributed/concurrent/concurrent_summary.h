@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <concepts>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -40,20 +38,30 @@
 ///            the next drain, up to a hard pending cap — so the common
 ///            case never blocks, and the worst case is one short merge.
 ///
-/// Reader side: every propagation republishes the global into an
-/// epoch-versioned double buffer (see epoch.h) and refreshes a cached
-/// atomic estimate. Estimate() is a single atomic load; Query(),
-/// EstimateWithBounds() and Snapshot() run against a pinned published
-/// version. No reader ever takes the fold mutex or stalls ingest.
+/// Reader side: every writer-thread propagation republishes the global
+/// into an epoch-versioned double buffer (see epoch.h) and refreshes a
+/// cached atomic estimate. External folds (FoldExternal: the request-
+/// scoped path behind gemsd UPDATE/MERGE/RESTORE) do not publish; they
+/// mark the global unpublished, and the first read after them takes the
+/// fold mutex once to publish. So N external folds with no read between
+/// them cost one publication, not N. A read that finds nothing pending is
+/// lock-free: Estimate() is two loads from one cache line (the pending
+/// flag, then the cached estimate); Query(), EstimateWithBounds() and
+/// Snapshot() run against a pinned published version.
 ///
-/// Consistency: queries see a *bounded-staleness* view — everything up to
-/// each writer's last propagation (at most max_pending_items per writer
-/// plus one publication behind), and always a *consistent* one: a
-/// published version is a real sketch state, the merge of whole deltas,
-/// never a torn mix. Once quiesced (writers joined — thread-exit hooks
-/// fold residuals — or FlushLocal() called), the snapshot equals the
-/// sequential sketch fed the same stream; for partition-independent
-/// merges (HLL max, Count-Min sum, Bloom OR) it is byte-identical.
+/// Consistency:
+///   - An external fold that has returned is visible to every read that
+///     starts after it returns (on any thread).
+///   - Writer-thread updates, and external folds still in progress, may
+///     or may not be visible: a writer's unfolded tail is at most
+///     max_pending_items + buffer_items items.
+///   - A read never sees a torn state: a published version is a real
+///     sketch state, the merge of whole deltas.
+///   - epoch() counts publications readers have observed, not folds.
+/// Once quiesced (writers joined — thread-exit hooks fold residuals — or
+/// FlushLocal() called), the snapshot equals the sequential sketch fed the
+/// same stream; for partition-independent merges (HLL max, Count-Min sum,
+/// Bloom OR) it is byte-identical.
 
 namespace gems {
 
@@ -93,14 +101,6 @@ class ConcurrentSummary {
     /// and keeps going if the fold mutex is busy; at the cap it waits.
     /// 0 means 8x propagate_items.
     size_t max_pending_items = 0;
-    /// When true, writers only fold (merge) and a background propagator
-    /// thread republishes the global for readers on a fixed cadence —
-    /// useful when S is large (Bloom, wide Count-Min) and the per-fold
-    /// publish copy would dominate. When false (default), every fold
-    /// publishes inline.
-    bool background_publisher = false;
-    /// Republish cadence of the background propagator.
-    std::chrono::microseconds publish_interval{200};
   };
 
   static constexpr size_t kMinSlots = 8;
@@ -109,22 +109,7 @@ class ConcurrentSummary {
   /// All sketches (global, published copies, per-thread locals) start as
   /// copies of `prototype`, so folds are merge-compatible by construction.
   explicit ConcurrentSummary(const S& prototype, Options options = Options{})
-      : shared_(std::make_shared<Shared>(prototype, Resolve(options))) {
-    if (shared_->options.background_publisher) {
-      publisher_ = std::thread([shared = shared_] { PublisherLoop(*shared); });
-    }
-  }
-
-  ~ConcurrentSummary() {
-    if (publisher_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(shared_->fold_mutex);
-        shared_->stop_publisher = true;
-      }
-      shared_->publisher_cv.notify_all();
-      publisher_.join();
-    }
-  }
+      : shared_(std::make_shared<Shared>(prototype, Resolve(options))) {}
 
   ConcurrentSummary(const ConcurrentSummary&) = delete;
   ConcurrentSummary& operator=(const ConcurrentSummary&) = delete;
@@ -211,16 +196,17 @@ class ConcurrentSummary {
   /// remain subject to the staleness bound until they propagate or exit.
   void FlushLocal() const { FlushLocalFor(*shared_); }
 
-  /// Wait-free point estimate: one atomic load of the value cached at the
-  /// last publication. Staleness is bounded as documented above.
+  /// Point estimate: the value cached at the last publication, after
+  /// catching up a pending external fold.
   double Estimate() const
     requires EstimableSummary<S>
   {
+    CatchUp(*shared_);
     return shared_->cached_estimate.load(std::memory_order_acquire);
   }
 
   /// Interval estimate computed against the pinned published version —
-  /// no copy, no lock, any confidence level.
+  /// no copy, any confidence level.
   gems::Estimate EstimateWithBounds(double confidence = 0.95) const
     requires BoundedPointEstimableSummary<S>
   {
@@ -229,34 +215,47 @@ class ConcurrentSummary {
   }
 
   /// Runs `fn(const S&)` against the pinned published version and returns
-  /// its result — the general wait-free read (point queries on Count-Min,
-  /// quantile probes, serialization, ...). `fn` must not retain the
-  /// reference past its return.
+  /// its result — the general read (point queries on Count-Min, quantile
+  /// probes, serialization, ...). Wait-free unless an external fold is
+  /// pending, in which case it first publishes it under the fold mutex.
+  /// `fn` must not retain the reference past its return.
   template <typename Fn>
   auto Query(Fn&& fn) const {
+    CatchUp(*shared_);
     return shared_->published.Read(std::forward<Fn>(fn));
   }
 
-  /// Publication version: advances once per propagation. Monotone; usable
-  /// as a staleness probe ("has anything landed since I last looked").
-  uint64_t epoch() const { return shared_->published.epoch(); }
+  /// Publication version: advances once per publication that a reader
+  /// can observe (a pending external fold is published first, so K folds
+  /// with no read between them advance it by one). Monotone; usable as a
+  /// staleness probe ("has anything landed since I last looked").
+  uint64_t epoch() const {
+    CatchUp(*shared_);
+    return shared_->published.epoch();
+  }
 
-  /// Applies `fn(S&)` to the global under the fold mutex and republishes
-  /// on success — the entry point for folding *externally built* deltas
-  /// (a deserialized peer sketch, restored checkpoint state) into a live
-  /// summary, which is how the gemsd MERGE and RESTORE paths land. Unlike
-  /// writer folds, a failure here is the caller's to handle (e.g. a
-  /// parameter-mismatched merge): it is returned, never latched into the
-  /// summary's error state, and nothing is published.
+  /// Applies `fn(S&)` to the global under the fold mutex and marks it
+  /// unpublished on success — the entry point for folding *externally
+  /// built* deltas (a request's batch, a deserialized peer sketch,
+  /// restored checkpoint state) into a live summary, which is how every
+  /// gemsd UPDATE, MERGE and RESTORE lands. The next read publishes, so
+  /// the fold is visible to every read that starts after this returns.
+  /// Unlike writer folds, a failure here is the caller's to handle (e.g.
+  /// a parameter-mismatched merge): it is returned, never latched into the
+  /// summary's error state, and nothing is marked for publication.
   template <typename Fn>
   Status FoldExternal(Fn&& fn) {
     Shared& sh = *shared_;
     std::lock_guard<std::mutex> lock(sh.fold_mutex);
+    if (sh.retire_pending) {
+      // A copy-on-write S clones the current published version on this
+      // fold's first write; release the version before it first, so a
+      // summary holds at most the global and one published version.
+      sh.published.Retire([&](S& stale) { stale = sh.prototype; });
+      sh.retire_pending = false;
+    }
     if (Status s = fn(sh.global); !s.ok()) return s;
-    sh.folds += 1;
-    // Force even under a background publisher: once the fold is acked the
-    // merged state must be visible to readers.
-    ForcePublish(sh);
+    sh.unpublished.store(true, std::memory_order_release);
     return Status::Ok();
   }
 
@@ -279,13 +278,12 @@ class ConcurrentSummary {
       return sh.first_error;
     }
     {
-      // The published copy may lag the newest global state — a cadenced
-      // background publisher between wakeups, or sub-threshold overflow
-      // updates; catch up here so a quiesced Snapshot is always complete.
-      // (Estimate/Query stay wait-free; Snapshot was always allowed a
-      // brief fold-lock.)
+      // The published copy may lag the newest global state — a pending
+      // external fold, or sub-threshold overflow updates; catch up here so
+      // a quiesced Snapshot is always complete.
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
-      if (sh.published_folds != sh.folds || sh.overflow_pending > 0) {
+      if (sh.unpublished.load(std::memory_order_relaxed) ||
+          sh.overflow_pending > 0) {
         ForcePublish(sh);
       }
     }
@@ -309,10 +307,10 @@ class ConcurrentSummary {
     Local local;
   };
 
-  /// Everything the instance, its writer threads, and the optional
-  /// background propagator share. Held by shared_ptr so a thread-exit
-  /// hook can run safely even while the wrapper itself is being torn
-  /// down elsewhere (the hook locks a weak_ptr).
+  /// Everything the instance and its writer threads share. Held by
+  /// shared_ptr so a thread-exit hook can run safely even while the
+  /// wrapper itself is being torn down elsewhere (the hook locks a
+  /// weak_ptr).
   struct Shared {
     Shared(const S& proto, Options opts)
         : options(opts),
@@ -336,15 +334,16 @@ class ConcurrentSummary {
     // Fold state, guarded by fold_mutex.
     std::mutex fold_mutex;
     S global;
-    uint64_t folds = 0;            // Total folds into `global`.
-    uint64_t published_folds = 0;  // Folds included in `published`.
-    size_t overflow_pending = 0;   // Slotless updates since last publish.
+    size_t overflow_pending = 0;  // Slotless updates since last publish.
+    bool retire_pending = false;  // The inactive buffer holds a version.
     Status first_error = Status::Ok();
-    bool stop_publisher = false;
 
-    std::condition_variable publisher_cv;
     EpochPublished<S> published;
     std::atomic<double> cached_estimate{0.0};
+    // Set (release, under fold_mutex) by an external fold; cleared by the
+    // publication that includes it, only after the epoch has advanced.
+    // Beside cached_estimate, so Estimate() reads one cache line.
+    std::atomic<bool> unpublished{false};
     std::atomic<bool> has_error{false};
     const uint64_t instance_id;
   };
@@ -412,7 +411,7 @@ class ConcurrentSummary {
     if (local.pending > 0) {
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
       Fold(sh, local);
-      PublishLocked(sh);
+      ForcePublish(sh);
     }
     local.sketch.reset();
     local.buffer.clear();
@@ -467,7 +466,7 @@ class ConcurrentSummary {
   static void OverflowTick(Shared& sh, size_t items) {
     sh.overflow_pending += items;
     if (sh.overflow_pending >= sh.options.propagate_items) {
-      PublishLocked(sh);
+      ForcePublish(sh);
     }
   }
 
@@ -479,12 +478,12 @@ class ConcurrentSummary {
       std::unique_lock<std::mutex> lock(sh.fold_mutex, std::try_to_lock);
       if (!lock.owns_lock()) return;  // Busy: keep accumulating locally.
       Fold(sh, local);
-      PublishLocked(sh);
+      ForcePublish(sh);
     } else {
       // Hard staleness cap reached: this is the one place a writer waits.
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
       Fold(sh, local);
-      PublishLocked(sh);
+      ForcePublish(sh);
     }
   }
 
@@ -496,45 +495,41 @@ class ConcurrentSummary {
     }
     *local.sketch = sh.prototype;
     local.pending = 0;
-    sh.folds += 1;
   }
 
-  /// Republishes the global for readers (unless the background propagator
-  /// owns publication). fold_mutex held.
-  static void PublishLocked(Shared& sh) {
-    if (sh.options.background_publisher) {
-      sh.publisher_cv.notify_one();
-      return;
-    }
-    ForcePublish(sh);
-  }
-
+  /// Republishes the global for readers. fold_mutex held.
   static void ForcePublish(Shared& sh) {
     sh.published.Publish([&](S& out) { out = sh.global; });
-    sh.published_folds = sh.folds;
     sh.overflow_pending = 0;
+    sh.retire_pending = true;
     if constexpr (EstimableSummary<S>) {
       sh.cached_estimate.store(sh.global.Estimate(),
                                std::memory_order_release);
     }
+    // Only now, with the new epoch and estimate in place: a reader that
+    // acquires `false` must find the published state current. Skipped when
+    // already clear, so writer-thread publishes leave the line readers
+    // load unwritten.
+    if (sh.unpublished.load(std::memory_order_relaxed)) {
+      sh.unpublished.store(false, std::memory_order_release);
+    }
   }
 
-  /// The background propagator: decouples the publish copy from writer
-  /// folds. Wakes on its cadence (or a fold notification) and republishes
-  /// when the global moved.
-  static void PublisherLoop(Shared& sh) {
-    std::unique_lock<std::mutex> lock(sh.fold_mutex);
-    while (!sh.stop_publisher) {
-      sh.publisher_cv.wait_for(lock, sh.options.publish_interval);
-      if (sh.published_folds != sh.folds || sh.overflow_pending > 0) {
-        ForcePublish(sh);
-      }
+  /// The read-side half of deferred publication: a reader that finds an
+  /// external fold pending publishes it once, under the fold mutex.
+  /// The acquire pairs with FoldExternal's release (a fold that returned
+  /// before this read is seen as pending) and with ForcePublish's clearing
+  /// release (a clear flag means the epoch already covers that fold).
+  static void CatchUp(Shared& sh) {
+    if (sh.unpublished.load(std::memory_order_acquire)) [[unlikely]] {
+      PublishPending(sh);
     }
-    // Final publish so a quiesced teardown leaves readers-of-record (e.g.
-    // a last Snapshot before destruction) the complete state.
-    if (sh.published_folds != sh.folds || sh.overflow_pending > 0) {
-      ForcePublish(sh);
-    }
+  }
+
+  /// Out of line so readers inline only CatchUp's flag test.
+  [[gnu::noinline]] static void PublishPending(Shared& sh) {
+    std::lock_guard<std::mutex> lock(sh.fold_mutex);
+    if (sh.unpublished.load(std::memory_order_relaxed)) ForcePublish(sh);
   }
 
   static void FlushLocalFor(Shared& sh) {
@@ -546,11 +541,10 @@ class ConcurrentSummary {
     if (local.pending == 0) return;
     std::lock_guard<std::mutex> lock(sh.fold_mutex);
     Fold(sh, local);
-    ForcePublish(sh);  // Force even under a background publisher.
+    ForcePublish(sh);
   }
 
   std::shared_ptr<Shared> shared_;
-  std::thread publisher_;
 };
 
 }  // namespace gems

@@ -23,9 +23,8 @@ namespace gems {
 /// Double-buffered, epoch-versioned published value.
 ///
 /// Concurrency contract:
-///   - Publish() calls must be externally serialized (the concurrent
-///     wrapper calls it under its fold mutex, or from the one background
-///     propagator thread).
+///   - Publish() and Retire() calls must be externally serialized (the
+///     concurrent wrapper calls them under its fold mutex).
 ///   - Read()/epoch() may be called from any number of threads at any
 ///     time. Read never blocks: it retries only when a publication landed
 ///     between its epoch load and its pin, so retries are bounded by the
@@ -41,6 +40,9 @@ namespace gems {
 ///     a verified reader is inside it.
 ///   - A reader whose epoch re-check fails unpins without having touched
 ///     the value, so the transient pin is harmless.
+///   - Retire() overwrites the same inactive buffer after the same pin
+///     wait, just without the epoch store; only readers holding a stale
+///     epoch select that buffer, and their re-check sends them around.
 template <typename T>
 class EpochPublished {
  public:
@@ -88,17 +90,16 @@ class EpochPublished {
   template <typename Fn>
   void Publish(Fn&& fn) {
     const uint64_t e = epoch_.load(std::memory_order_relaxed);
-    Buffer& target = buffers_[(e + 1) & 1];
-    int spins = 0;
-    while (target.pins.load(std::memory_order_seq_cst) != 0) {
-      if (++spins < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-      }
-    }
-    fn(target.value);
+    fn(UnpinnedInactive(e));
     epoch_.store(e + 1, std::memory_order_seq_cst);
+  }
+
+  /// Overwrites the inactive buffer — the version before the current one,
+  /// which no new reader can reach — via `fn(T&)` without advancing the
+  /// epoch, e.g. to release what it holds. Waits like Publish().
+  template <typename Fn>
+  void Retire(Fn&& fn) {
+    fn(UnpinnedInactive(epoch_.load(std::memory_order_relaxed)));
   }
 
  private:
@@ -108,6 +109,20 @@ class EpochPublished {
     T value;
     mutable std::atomic<uint32_t> pins{0};
   };
+
+  /// The buffer not named by epoch `e`, once no reader pins it.
+  T& UnpinnedInactive(uint64_t e) {
+    Buffer& target = buffers_[(e + 1) & 1];
+    int spins = 0;
+    while (target.pins.load(std::memory_order_seq_cst) != 0) {
+      if (++spins < 64) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    }
+    return target.value;
+  }
 
   Buffer buffers_[2];
   std::atomic<uint64_t> epoch_{0};

@@ -25,14 +25,20 @@
 /// UPDATE/MERGE/QUERY take the shard lock shared, so requests for
 /// different keys (and queries against the same key) proceed in parallel
 /// across server threads, and the per-sketch concurrency contract is
-/// ConcurrentAnySketch's own (wait-free published reads, folded writes).
+/// ConcurrentAnySketch's own (epoch-published reads, folded writes).
 /// Only CREATE/DROP/RESTORE take a shard lock exclusive.
 ///
-/// Ack-visibility: Update() routes through ApplyBatch, which folds into
-/// the sketch's global state and publishes before returning — once the
-/// server acks an UPDATE, every subsequent QUERY on any connection sees
-/// those items. Queries never take the fold lock (epoch-published reads),
-/// so a hot writer cannot stall readers.
+/// Staleness promise: Update() and Merge() fold into the sketch's global
+/// state and mark it unpublished before returning; they do not publish.
+///   - An acked UPDATE/MERGE is visible to every QUERY that starts after
+///     the ack, on any connection.
+///   - A QUERY concurrent with an unacked write may or may not see it.
+///   - A QUERY never sees a torn state.
+///   - QueryResult::epoch counts publications readers have observed, not
+///     writes: K writes with no QUERY between them advance it by one.
+/// The first QUERY after a write takes the key's fold lock once to
+/// publish (waiting out at most one in-flight fold); later QUERYs until
+/// the next write read the published version without locking.
 
 namespace gems {
 namespace server {
@@ -89,11 +95,11 @@ class Keyspace {
   /// mismatches surface as the sketch's own typed status.
   Status Merge(const std::string& key, ByteSpan envelope, bool trusted);
 
-  /// Wait-free read of `key`'s published state: the whole-sketch estimate
-  /// (or the per-item estimate when `has_item`), the one-line summary,
-  /// and the publication epoch. `has_estimate` is false for families with
-  /// no numeric estimate of the requested shape — the summary line is
-  /// still returned.
+  /// Read of `key`'s published state, publishing any acked write first:
+  /// the whole-sketch estimate (or the per-item estimate when
+  /// `has_item`), the one-line summary, and the publication epoch.
+  /// `has_estimate` is false for families with no numeric estimate of the
+  /// requested shape — the summary line is still returned.
   Result<QueryResult> Query(const std::string& key, bool has_item,
                             uint64_t item, double confidence) const;
 

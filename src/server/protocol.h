@@ -132,6 +132,11 @@ struct QueryResult {
   bool has_estimate = false;
   Estimate estimate;
   std::string summary;
+  /// The key's publication version when the summary was read. It counts
+  /// publications readers have observed, not writes: a QUERY publishes
+  /// every write acked before it, so K UPDATEs with no QUERY between them
+  /// advance it by one. Monotone per key; a re-created or restored key
+  /// starts over.
   uint64_t epoch = 0;
 };
 

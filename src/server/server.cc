@@ -284,9 +284,12 @@ void Server::RunLoop(Loop& loop) {
     return true;
   };
 
-  // Splits and serves every complete frame in the read buffer. Returns
-  // false on a protocol violation (connection must close).
+  // Splits and serves every complete frame in the read buffer, then
+  // sends all their responses with one flush — N pipelined requests cost
+  // one send(), not N. Returns false on a protocol violation (connection
+  // must close, after the responses already served are flushed).
   auto serve_frames = [this, &flush_writes](Connection& conn) {
+    bool well_formed = true;
     for (;;) {
       const ByteSpan pending(conn.read_buffer.data() + conn.read_pos,
                              conn.read_buffer.size() - conn.read_pos);
@@ -294,7 +297,8 @@ void Server::RunLoop(Loop& loop) {
       size_t consumed = 0;
       if (!SplitFrame(pending, options_.max_frame_bytes, &body, &consumed)
                .ok()) {
-        return false;
+        well_formed = false;
+        break;
       }
       if (consumed == 0) break;  // Incomplete frame: wait for more bytes.
       Request request;
@@ -311,12 +315,13 @@ void Server::RunLoop(Loop& loop) {
         response.code = decoded.code();
         response.message = std::string(decoded.message());
       } else {
-        return false;  // Undecodable body: drop the connection.
+        well_formed = false;  // Undecodable body: drop the connection.
+        break;
       }
       EncodeResponse(response, &conn.write_buffer);
       conn.read_pos += consumed;
-      if (!flush_writes(conn)) return false;
     }
+    if (!flush_writes(conn) || !well_formed) return false;
     // Compact once parsed-out; cheap because it only runs when the
     // buffer is fully or mostly drained.
     if (conn.read_pos == conn.read_buffer.size()) {

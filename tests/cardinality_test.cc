@@ -432,6 +432,54 @@ TEST(HllPlusPlusTest, ConversionPreservesDenseEquivalence) {
   EXPECT_DOUBLE_EQ(hpp.Estimate(), dense.Estimate());
 }
 
+TEST(HllPlusPlusTest, DenseEstimateMatchesTwoScanFormula) {
+  // Estimate() takes the zero count and the raw estimate from one pass
+  // over the registers. It must be bit-identical to the formula that
+  // scanned twice (NumZeroRegisters, then RawCount), in each of the three
+  // estimator ranges.
+  enum class Range { kLinear, kBiasCorrected, kRaw };
+  struct Case {
+    int precision;
+    uint64_t n;
+    Range range;
+  };
+  const Case cases[] = {
+      {10, 500, Range::kLinear},
+      {10, 3000, Range::kBiasCorrected},
+      {10, 20000, Range::kRaw},
+      {14, 5000, Range::kLinear},
+      {14, 40000, Range::kBiasCorrected},
+      {14, 300000, Range::kRaw},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "p=" << c.precision << " n=" << c.n);
+    HllPlusPlus hpp(c.precision, 40);
+    HyperLogLog twin(c.precision, 40);  // Same registers once dense.
+    const std::vector<uint64_t> items = DistinctItems(c.n, 41);
+    hpp.UpdateBatch(items);
+    twin.UpdateBatch(items);
+    hpp.ConvertToDense();
+    const double m = static_cast<double>(twin.num_registers());
+    const uint32_t zeros = twin.NumZeroRegisters();
+    const double linear =
+        zeros > 0 ? m * std::log(m / static_cast<double>(zeros)) : 0.0;
+    const double raw = twin.RawCount();
+    double expected;
+    if (zeros > 0 &&
+        linear <= hllpp_internal::LinearCountingThreshold(c.precision)) {
+      EXPECT_EQ(c.range, Range::kLinear);
+      expected = linear;
+    } else if (raw <= 5.0 * m) {
+      EXPECT_EQ(c.range, Range::kBiasCorrected);
+      expected = raw - hllpp_internal::BiasEstimate(c.precision, raw);
+    } else {
+      EXPECT_EQ(c.range, Range::kRaw);
+      expected = raw;
+    }
+    EXPECT_EQ(hpp.Estimate(), expected);
+  }
+}
+
 TEST(HllPlusPlusTest, MergeSparseSparse) {
   HllPlusPlus a(12, 4), b(12, 4);
   const auto items = DistinctItems(400, 24);

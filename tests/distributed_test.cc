@@ -1,8 +1,9 @@
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -435,22 +436,53 @@ TEST(ConcurrentSummaryTest, ValueSummariesBufferDoubles) {
   EXPECT_NEAR(snapshot.value().Quantile(0.5), 5000.0, 500.0);
 }
 
-TEST(ConcurrentSummaryTest, BackgroundPublisherDecouplesPublishes) {
-  // With a cadenced background propagator, writers only fold; readers
-  // still converge, and a quiesced Snapshot catches up the publication.
-  ConcurrentSummary<HyperLogLog> concurrent(
-      HyperLogLog(12, 30),
-      {.buffer_items = 512,
-       .background_publisher = true,
-       .publish_interval = std::chrono::microseconds(100)});
-  constexpr uint64_t kItems = 100000;
-  std::thread writer([&concurrent] {
-    for (uint64_t item : DistinctItems(kItems, 31)) concurrent.Update(item);
-  });
-  writer.join();
-  EXPECT_NEAR(concurrent.Snapshot().value().Estimate(), kItems, 0.05 * kItems);
-  // The forced publish also refreshed the cached wait-free estimate.
-  EXPECT_NEAR(concurrent.Estimate(), kItems, 0.05 * kItems);
+// A copy-on-write summary whose payloads count themselves, to observe how
+// many versions a ConcurrentSummary keeps alive (AnySketch shares its
+// representation the same way).
+struct CountedPayload {
+  static inline int live = 0;
+  CountedPayload() { ++live; }
+  CountedPayload(const CountedPayload& other) : items(other.items) {
+    ++live;
+  }
+  ~CountedPayload() { --live; }
+  std::vector<uint64_t> items;
+};
+
+struct CowSummary {
+  std::shared_ptr<CountedPayload> payload =
+      std::make_shared<CountedPayload>();
+  void Add(uint64_t item) {
+    if (payload.use_count() > 1) {
+      payload = std::make_shared<CountedPayload>(*payload);
+    }
+    payload->items.push_back(item);
+  }
+  Status Merge(const CowSummary& other) {
+    for (uint64_t item : other.payload->items) Add(item);
+    return Status::Ok();
+  }
+};
+
+TEST(ConcurrentSummaryTest, ExternalFoldsKeepOnePublishedVersionAlive) {
+  // Alternating reads and external folds: each fold clones the version
+  // the last read published, and must first drop the one published
+  // before it. Live payloads: the prototype's, the published one, and
+  // the global's fresh clone.
+  ConcurrentSummary<CowSummary> live{CowSummary{}};
+  for (uint64_t i = 1; i <= 50; ++i) {
+    for (uint64_t item : {i, i + 1000}) {
+      ASSERT_TRUE(live.FoldExternal([item](CowSummary& global) {
+                        global.Add(item);
+                        return Status::Ok();
+                      })
+                      .ok());
+    }
+    EXPECT_LE(CountedPayload::live, 3);
+    const size_t seen = live.Query(
+        [](const CowSummary& s) { return s.payload->items.size(); });
+    EXPECT_EQ(seen, 2 * i);
+  }
 }
 
 TEST(ConcurrentAnySketchTest, TypeErasedConcurrentMatchesSequential) {
@@ -478,6 +510,109 @@ TEST(ConcurrentAnySketchTest, TypeErasedConcurrentMatchesSequential) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot.value().Serialize(), sequential.Serialize());
   EXPECT_EQ(live.value().EstimateSummary(), sequential.EstimateSummary());
+}
+
+TEST(ConcurrentAnySketchTest, ExternalFoldsPublishOnceOnNextRead) {
+  // ApplyBatch folds without publishing; the first read publishes every
+  // pending fold at once. K folds with no read between them therefore
+  // advance the epoch by exactly one, and a read with no write since the
+  // last one does not advance it at all.
+  RegisterBuiltinSketches();
+  auto made = ConcurrentAnySketch::MakeByName("hyperloglog");
+  ASSERT_TRUE(made.ok());
+  ConcurrentAnySketch& live = made.value();
+  AnySketch sequential =
+      SketchRegistry::Global().FindByName("hyperloglog")->make_default();
+  const uint64_t start = live.epoch();
+  constexpr int kFolds = 20;
+  for (int k = 0; k < kFolds; ++k) {
+    const auto batch = DistinctItems(64, 60 + k);
+    ASSERT_TRUE(live.ApplyBatch(batch).ok());
+    ASSERT_TRUE(sequential.UpdateBatch(batch).ok());
+  }
+  EXPECT_EQ(live.epoch(), start + 1);
+  EXPECT_EQ(live.epoch(), start + 1);
+  // The one publication holds all K folds.
+  EXPECT_EQ(live.EstimateSummary(), sequential.EstimateSummary());
+  EXPECT_EQ(live.epoch(), start + 1);
+}
+
+TEST(ConcurrentAnySketchTest, AckedApplyBatchIsVisibleToLaterReads) {
+  // Cross-thread ack visibility: the writer applies batch i, which holds
+  // the fresh item x_i, then acks it with a release store. A reader that
+  // acquires the ack must find x_i counted. Count-Min never
+  // underestimates, so an estimate below 1 can only mean a missed fold.
+  RegisterBuiltinSketches();
+  auto made = ConcurrentAnySketch::MakeByName("count_min");
+  ASSERT_TRUE(made.ok());
+  ConcurrentAnySketch& live = made.value();
+  constexpr uint64_t kBatches = 2000;
+  constexpr uint64_t kFreshBase = uint64_t{1} << 40;
+  std::atomic<uint64_t> acked{0};
+  std::atomic<uint64_t> misses{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      uint64_t seen = 0;
+      while (seen < kBatches) {
+        seen = acked.load(std::memory_order_acquire);
+        if (seen == 0) continue;
+        Result<gems::Estimate> est =
+            live.EstimateItemWithBounds(kFreshBase + seen);
+        if (!est.ok() || est.value().value < 1.0) {
+          misses.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    std::vector<uint64_t> batch(16);
+    for (uint64_t i = 1; i <= kBatches; ++i) {
+      for (size_t j = 0; j + 1 < batch.size(); ++j) batch[j] = i * 31 + j;
+      batch.back() = kFreshBase + i;
+      if (!live.ApplyBatch(batch).ok()) {
+        misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      acked.store(i, std::memory_order_release);
+    }
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(misses.load(), 0u);
+}
+
+TEST(ConcurrentAnySketchTest, FailedFoldPublishesNothing) {
+  RegisterBuiltinSketches();
+  auto made = ConcurrentAnySketch::MakeByName("hyperloglog");
+  ASSERT_TRUE(made.ok());
+  ConcurrentAnySketch& live = made.value();
+  ASSERT_TRUE(live.ApplyBatch(DistinctItems(1000, 70)).ok());
+  const uint64_t published = live.epoch();
+  const std::string summary = live.EstimateSummary();
+
+  // Type mismatch: a Count-Min envelope into an HLL.
+  CountMinSketch cm(64, 3, 1);
+  (void)cm.Update(1);
+  const std::vector<uint8_t> cm_bytes = cm.Serialize();
+  Result<AnySketchView> cm_view =
+      SketchRegistry::Global().Wrap(ByteSpan(cm_bytes));
+  ASSERT_TRUE(cm_view.ok());
+  EXPECT_EQ(live.MergeFromView(cm_view.value().sketch_view()).code(),
+            StatusCode::kInvalidArgument);
+
+  // Same type, mismatched precision: the merge fails inside the fold.
+  HyperLogLog peer(10);
+  peer.Update(1);
+  const std::vector<uint8_t> peer_bytes = peer.Serialize();
+  Result<AnySketchView> peer_view =
+      SketchRegistry::Global().Wrap(ByteSpan(peer_bytes));
+  ASSERT_TRUE(peer_view.ok());
+  EXPECT_EQ(live.MergeFromView(peer_view.value().sketch_view()).code(),
+            StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(live.epoch(), published);
+  EXPECT_EQ(live.EstimateSummary(), summary);
 }
 
 TEST(ConcurrentAnySketchTest, RejectsEmptyAndUnknown) {

@@ -622,6 +622,49 @@ TEST_F(LoopbackTest, PipelinedRequestsInOneWrite) {
   server.Stop();
 }
 
+TEST_F(LoopbackTest, DeepPipelineOfUpdatesMatchesOfflineReplay) {
+  // A 64-deep pipeline of UPDATEs leaves in one send, so the server reads
+  // many frames at once and answers them with one flush. Every request
+  // gets its own OK, in id order (Pipeline checks the ids), and the key
+  // ends up byte-identical to an offline replay of the same batches.
+  Keyspace keyspace;
+  Server server(&keyspace);
+  ASSERT_TRUE(server.Start().ok());
+  Result<GemsdClient> client =
+      GemsdClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value().Create("k", "hyperloglog").ok());
+
+  constexpr size_t kDepth = 64;
+  std::vector<std::vector<uint64_t>> batches;
+  std::vector<Request> requests(kDepth);
+  for (size_t i = 0; i < kDepth; ++i) {
+    batches.push_back(Items(32, 2000 + i));
+    requests[i].opcode = Opcode::kUpdate;
+    requests[i].key = "k";
+    requests[i].items = batches.back();
+  }
+  std::vector<Status> statuses;
+  ASSERT_TRUE(client.value().Pipeline(requests, &statuses).ok());
+  ASSERT_EQ(statuses.size(), kDepth);
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  Keyspace replica;
+  ASSERT_TRUE(replica.Create("k", "hyperloglog").ok());
+  for (const std::vector<uint64_t>& batch : batches) {
+    ASSERT_TRUE(replica.Update("k", batch).ok());
+  }
+  Result<std::vector<uint8_t>> image = client.value().Checkpoint();
+  ASSERT_TRUE(image.ok());
+  std::vector<uint8_t> replica_image;
+  ByteSink sink(&replica_image);
+  ASSERT_TRUE(replica.Checkpoint(sink).ok());
+  EXPECT_EQ(image.value(), replica_image);
+  server.Stop();
+}
+
 TEST_F(LoopbackTest, ConcurrentUpdatesMatchOfflineReplica) {
   // N client threads write disjoint item ranges into two keys (an HLL
   // and a Count-Min — families whose merges are order- and partition-
