@@ -19,7 +19,8 @@
 //     # timed twice in one process, once with the dispatcher pinned to the
 //     # scalar reference table and once with the startup selection. The
 //     # ratio isolates the SIMD kernel layer's contribution (both sides
-//     # use the identical batch path).
+//     # use the identical batch path). A `kernels` array adds one row per
+//     # SimdKernels entry, each called directly at a size the repo uses.
 //   bench_e07_throughput --e07_layout_json=out.json [--e07_layout_items=N]
 //     # flat-vs-blocked counter-layout comparison for Count-Min and
 //     # CountSketch at LLC-busting widths: same zipf stream through both
@@ -44,6 +45,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -75,7 +77,6 @@
 #include "quantiles/mrl.h"
 #include "quantiles/req.h"
 #include "quantiles/tdigest.h"
-#include "moments/ams.h"
 #include "sampling/reservoir.h"
 #include "similarity/minhash.h"
 #include "simd/dispatch.h"
@@ -596,6 +597,165 @@ SimdRow CompareSimd(const char* name, const std::vector<uint64_t>& items,
                  seq / dispatched};
 }
 
+// Per-kernel rows: every SimdKernels entry called directly on fixed inputs
+// at a size the repo uses, timed with the table pinned to the scalar
+// reference and then as dispatched. `variant` is "scalar" where the
+// dispatched table inherits the reference for that entry, so the rows show
+// which vector variants exist and what each one buys.
+
+struct KernelRow {
+  const char* kernel;
+  const char* variant;
+  size_t size;  // Items per call.
+  double scalar_ns_per_item;
+  double dispatched_ns_per_item;
+  double speedup;  // scalar / dispatched.
+};
+
+// Entries in SimdKernels after its name: the count the kernel rows must
+// match.
+constexpr size_t kKernelEntries =
+    (sizeof(gems::simd::SimdKernels) - sizeof(const char*)) /
+    sizeof(void (*)());
+
+// A timed run repeats the call until this many items have passed through
+// it, so calls over small arrays still take milliseconds.
+constexpr size_t kKernelItemsPerRun = size_t{1} << 21;
+
+template <auto Entry, typename Call>
+KernelRow TimeKernel(const char* kernel, size_t size, Call call) {
+  using gems::simd::Kernels;
+  const size_t calls = std::max<size_t>(1, kKernelItemsPerRun / size);
+  const auto run = [&] {
+    const auto fn = Kernels().*Entry;
+    for (size_t c = 0; c < calls; ++c) call(fn);
+  };
+  gems::simd::ForceScalarForTesting(true);
+  const double scalar = BestSeconds(run);
+  gems::simd::ForceScalarForTesting(false);
+  const double dispatched = BestSeconds(run);
+  const double items = static_cast<double>(calls * size);
+  const bool inherits_scalar =
+      Kernels().*Entry == gems::simd::ScalarKernels().*Entry;
+  return KernelRow{kernel,
+                   inherits_scalar ? "scalar" : Kernels().name,
+                   size,
+                   scalar / items * 1e9,
+                   dispatched / items * 1e9,
+                   scalar / dispatched};
+}
+
+std::vector<KernelRow> TimeKernels() {
+  using gems::simd::SimdKernels;
+  // Sizes: 64k keys per hashing/ingest call; HLL precision 14 (the
+  // sketch_ingest workload); Count-Min/CountSketch rows of width 4096;
+  // the sketch_ingest blocked Count-Min (2^16 x 4) and blocked Bloom
+  // (8 Mbit, k = 8); an 8 Mbit flat Bloom with k = 7; 4 KiB merges.
+  constexpr size_t kKeys = size_t{1} << 16;
+  constexpr int kPrecision = 14;
+  constexpr size_t kRegs = size_t{1} << kPrecision;
+  constexpr uint64_t kWidth = 4096;
+  constexpr uint64_t kCmBlocks = (uint64_t{1} << 16) / 2;  // cols 2, depth 4
+  constexpr uint32_t kCmDepth = 4;
+  constexpr uint32_t kCmCols = 2;
+  constexpr uint64_t kBloomBits = uint64_t{1} << 23;
+  constexpr uint64_t kBloomBlocks = kBloomBits / 512;
+  constexpr size_t kSort = 1024;
+  constexpr size_t kMerge = 512;
+  constexpr uint64_t kSeed = 0x9E3779B97F4A7C15ULL;
+  const SimdKernels& ref = gems::simd::ScalarKernels();
+
+  const std::vector<uint64_t> keys = gems::DistinctItems(kKeys, 7);
+  std::vector<uint64_t> hashes(kKeys), lo(kKeys), hi(kKeys), out(kKeys);
+  ref.mix64_batch(keys.data(), kKeys, kSeed, hashes.data());
+  ref.murmur3_batch_u64(keys.data(), kKeys, kSeed, lo.data(), hi.data());
+  std::vector<int64_t> weights(kKeys), signs(kKeys);
+  std::vector<uint32_t> buckets(kKeys);
+  for (size_t i = 0; i < kKeys; ++i) {
+    weights[i] = static_cast<int64_t>(hashes[i] % 7) + 1;
+    signs[i] = (hashes[i] >> 63) != 0 ? 1 : -1;
+    buckets[i] = static_cast<uint32_t>(hashes[i] % kWidth);
+  }
+  std::vector<uint8_t> regs(kRegs), other_regs(kRegs), found(kKeys);
+  ref.hll_ingest(other_regs.data(), kPrecision, keys.data(), kKeys, kSeed);
+  std::vector<uint64_t> row(kWidth), cm_slots(kCmBlocks * 8);
+  std::vector<int64_t> cs_row(kWidth), cs_slots(kCmBlocks * 8);
+  std::vector<uint64_t> bloom(kBloomBits / 64), blocked_bloom(kBloomBits / 64);
+  std::vector<uint64_t> dst(kMerge), src(hashes.begin(),
+                                         hashes.begin() + kMerge);
+  std::vector<int64_t> dst_i(kMerge), src_i(src.begin(), src.end());
+  std::vector<double> unsorted(kSort), sort_buf(kSort), merged(kSort);
+  for (size_t i = 0; i < kSort; ++i) {
+    unsorted[i] = static_cast<double>(hashes[i] >> 11);
+  }
+  std::vector<double> run_a(unsorted.begin(), unsorted.begin() + kSort / 2);
+  std::vector<double> run_b(unsorted.begin() + kSort / 2, unsorted.end());
+  std::sort(run_a.begin(), run_a.end());
+  std::sort(run_b.begin(), run_b.end());
+
+  std::vector<KernelRow> rows;
+  // One row per entry; the row is named after the member it times.
+#define KERNEL_ROW(entry, size, ...)                          \
+  rows.push_back(TimeKernel<&SimdKernels::entry>(#entry, size, \
+                                                 [&](auto fn) { __VA_ARGS__; }))
+  KERNEL_ROW(mix64_batch, kKeys, fn(keys.data(), kKeys, kSeed, out.data()));
+  KERNEL_ROW(mix64_min, kKeys,
+             benchmark::DoNotOptimize(fn(keys.data(), kKeys, kSeed)));
+  KERNEL_ROW(murmur3_batch_u64, kKeys,
+             fn(keys.data(), kKeys, kSeed, lo.data(), hi.data()));
+  KERNEL_ROW(hll_update_hashes, kKeys,
+             fn(regs.data(), kPrecision, hashes.data(), kKeys));
+  KERNEL_ROW(hll_ingest, kKeys,
+             fn(regs.data(), kPrecision, keys.data(), kKeys, kSeed));
+  KERNEL_ROW(u8_max, kRegs, fn(regs.data(), other_regs.data(), kRegs));
+  KERNEL_ROW(hll_harmonic_sum, kRegs, double sum; uint32_t zeros;
+             fn(regs.data(), kRegs, &sum, &zeros);
+             benchmark::DoNotOptimize(sum + zeros));
+  KERNEL_ROW(cm_row_add, kKeys, fn(row.data(), kWidth, hashes.data(), kKeys));
+  KERNEL_ROW(cm_row_add_weighted, kKeys,
+             fn(row.data(), kWidth, hashes.data(), weights.data(), kKeys));
+  KERNEL_ROW(cm_row_min, kKeys,
+             fn(row.data(), kWidth, hashes.data(), kKeys, out.data()));
+  KERNEL_ROW(cs_row_scatter, kKeys,
+             fn(cs_row.data(), buckets.data(), signs.data(), kKeys));
+  KERNEL_ROW(i64_sum_squares, kWidth,
+             benchmark::DoNotOptimize(fn(cs_row.data(), kWidth)));
+  KERNEL_ROW(cm_blocked_add, kKeys,
+             fn(cm_slots.data(), kCmBlocks, kCmDepth, kCmCols, kSeed,
+                keys.data(), kKeys));
+  KERNEL_ROW(cm_blocked_add_weighted, kKeys,
+             fn(cm_slots.data(), kCmBlocks, kCmDepth, kCmCols, kSeed,
+                keys.data(), weights.data(), kKeys));
+  KERNEL_ROW(cm_blocked_min, kKeys,
+             fn(cm_slots.data(), kCmBlocks, kCmDepth, kCmCols, kSeed,
+                keys.data(), kKeys, out.data()));
+  KERNEL_ROW(cs_blocked_add, kKeys,
+             fn(cs_slots.data(), kCmBlocks, kCmDepth, kCmCols, kSeed,
+                keys.data(), nullptr, kKeys));
+  KERNEL_ROW(bloom_insert, kKeys,
+             fn(bloom.data(), kBloomBits, 7, lo.data(), hi.data(), kKeys));
+  KERNEL_ROW(bloom_query, kKeys,
+             fn(bloom.data(), kBloomBits, 7, lo.data(), hi.data(), kKeys,
+                found.data()));
+  KERNEL_ROW(blocked_bloom_insert, kKeys,
+             fn(blocked_bloom.data(), kBloomBlocks, 8, kSeed, keys.data(),
+                kKeys));
+  KERNEL_ROW(blocked_bloom_query, kKeys,
+             fn(blocked_bloom.data(), kBloomBlocks, 8, kSeed, keys.data(),
+                kKeys, found.data()));
+  KERNEL_ROW(sort_doubles, kSort, sort_buf = unsorted;
+             fn(sort_buf.data(), kSort));
+  KERNEL_ROW(merge_doubles, kSort,
+             fn(run_a.data(), run_a.size(), run_b.data(), run_b.size(),
+                merged.data()));
+  KERNEL_ROW(u64_min, kMerge, fn(dst.data(), src.data(), kMerge));
+  KERNEL_ROW(u64_or, kMerge, fn(dst.data(), src.data(), kMerge));
+  KERNEL_ROW(u64_add, kMerge, fn(dst.data(), src.data(), kMerge));
+  KERNEL_ROW(i64_add, kMerge, fn(dst_i.data(), src_i.data(), kMerge));
+#undef KERNEL_ROW
+  return rows;
+}
+
 int RunSimdComparison(const std::string& json_path, size_t num_items) {
   const std::vector<uint64_t> items = gems::DistinctItems(num_items, 42);
   const std::vector<uint64_t> zipf =
@@ -639,15 +799,6 @@ int RunSimdComparison(const std::string& json_path, size_t num_items) {
       [](gems::MinHashSketch& s, std::span<const uint64_t> b) {
         s.UpdateBatch(b);
       }));
-  // AMS's batch path is pure field arithmetic with no vector kernel, so
-  // its row is the ~1.0x simd_speedup control: it shows what the harness
-  // reports when dispatch genuinely does not matter.
-  rows.push_back(CompareSimd(
-      "ams", zipf, [] { return gems::AmsSketch(16, 5, 1); },
-      [](gems::AmsSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::AmsSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
 
   std::string json = "{\n  \"bench\": \"e07_simd_vs_scalar\",\n";
   json += "  \"items\": " + std::to_string(num_items) + ",\n";
@@ -666,6 +817,21 @@ int RunSimdComparison(const std::string& json_path, size_t num_items) {
                   row.sketch, row.per_item_mops, row.batched_scalar_mops,
                   row.batched_simd_mops, row.simd_speedup,
                   row.batched_ingest_speedup, i + 1 < rows.size() ? "," : "");
+    json += line;
+  }
+  json += "  ],\n";
+  const std::vector<KernelRow> kernels = TimeKernels();
+  json += "  \"kernel_entries\": " + std::to_string(kKernelEntries) + ",\n";
+  json += "  \"kernels\": [\n";
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    const KernelRow& row = kernels[i];
+    std::snprintf(line, sizeof(line),
+                  "    {\"kernel\": \"%s\", \"variant\": \"%s\", "
+                  "\"size\": %zu, \"scalar_ns_per_item\": %.4g, "
+                  "\"dispatched_ns_per_item\": %.4g, \"speedup\": %.3f}%s\n",
+                  row.kernel, row.variant, row.size, row.scalar_ns_per_item,
+                  row.dispatched_ns_per_item, row.speedup,
+                  i + 1 < kernels.size() ? "," : "");
     json += line;
   }
   json += "  ]\n}\n";

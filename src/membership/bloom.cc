@@ -87,9 +87,9 @@ void BloomFilter::Insert(std::string_view key) {
 void BloomFilter::InsertBatch(std::span<const uint64_t> keys) {
   // Hash-once pipeline over small chunks: the Murmur batch kernel keeps
   // 4-8 keys in flight, then the probe kernel streams the bit writes with
-  // the per-probe modulo strength-reduced (vector multiply-high under
-  // AVX2) instead of one hardware divide each. Bit indices are exactly
-  // those of Insert(), so the resulting filter is byte-identical.
+  // the per-probe modulo strength-reduced (a multiply-high) instead of one
+  // hardware divide each. Bit indices are exactly those of Insert(), so
+  // the resulting filter is byte-identical.
   const simd::SimdKernels& kernels = simd::Kernels();
   uint64_t h1[256];
   uint64_t h2[256];

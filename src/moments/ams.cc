@@ -1,7 +1,5 @@
 #include "moments/ams.h"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/check.h"
@@ -28,51 +26,6 @@ AmsSketch::AmsSketch(uint32_t estimators_per_group, uint32_t num_groups,
 void AmsSketch::Update(uint64_t item, int64_t weight) {
   for (size_t i = 0; i < counters_.size(); ++i) {
     counters_[i] += sign_hashes_[i].EvalSign(item) * weight;
-  }
-}
-
-void AmsSketch::UpdateBatch(std::span<const uint64_t> items) {
-  // Estimator-outer: per-item Update reduces the key into the field once
-  // per estimator (inside Eval); hoisting ReduceKey out of the estimator
-  // loop pays that division once per item. Each estimator's Rademacher sum
-  // accumulates in a register across the chunk before a single counter
-  // add. Eval(key) == EvalReduced(ReduceKey(key)) exactly and integer
-  // addition commutes, so counters are byte-identical to per-item ingest.
-  std::array<uint64_t, 256> reduced;
-  for (size_t offset = 0; offset < items.size(); offset += 256) {
-    const size_t n = std::min<size_t>(256, items.size() - offset);
-    for (size_t i = 0; i < n; ++i) {
-      reduced[i] = KWiseHash::ReduceKey(items[offset + i]);
-    }
-    for (size_t e = 0; e < counters_.size(); ++e) {
-      const KWiseHash& hash = sign_hashes_[e];
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        sum += (hash.EvalReduced(reduced[i]) & 1) ? 1 : -1;
-      }
-      counters_[e] += sum;
-    }
-  }
-}
-
-void AmsSketch::UpdateBatch(std::span<const uint64_t> items,
-                            std::span<const int64_t> weights) {
-  GEMS_CHECK(items.size() == weights.size());
-  std::array<uint64_t, 256> reduced;
-  for (size_t offset = 0; offset < items.size(); offset += 256) {
-    const size_t n = std::min<size_t>(256, items.size() - offset);
-    for (size_t i = 0; i < n; ++i) {
-      reduced[i] = KWiseHash::ReduceKey(items[offset + i]);
-    }
-    for (size_t e = 0; e < counters_.size(); ++e) {
-      const KWiseHash& hash = sign_hashes_[e];
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t w = weights[offset + i];
-        sum += (hash.EvalReduced(reduced[i]) & 1) ? w : -w;
-      }
-      counters_[e] += sum;
-    }
   }
 }
 

@@ -35,16 +35,6 @@ class AmsSketch {
   /// Adds `weight` (may be negative) to item's frequency.
   void Update(uint64_t item, int64_t weight = 1);
 
-  /// Batched ingest, weight 1 per item. Hoists the field reduction of each
-  /// key out of the estimator loop and accumulates each estimator's signed
-  /// sum in a register before one counter write. Integer adds commute, so
-  /// counters are byte-identical to per-item Update().
-  void UpdateBatch(std::span<const uint64_t> items);
-
-  /// Batched weighted ingest; `weights` parallel to `items`.
-  void UpdateBatch(std::span<const uint64_t> items,
-                   std::span<const int64_t> weights);
-
   /// Median-of-means estimate of F2 = sum_x f(x)^2.
   double EstimateF2() const;
 

@@ -8,7 +8,7 @@
 #include "common/random.h"
 
 /// \file
-/// Helpers shared by the kernel variant TUs (scalar / AVX2 / NEON). These
+/// Helpers shared by the kernel variant TUs (scalar / AVX2 / AVX-512). These
 /// define scalar sub-steps that every variant must reproduce exactly —
 /// keeping them in one header is what keeps the variants bit-identical by
 /// construction rather than by vigilance.

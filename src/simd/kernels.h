@@ -6,11 +6,12 @@
 
 /// \file
 /// The kernel table: one function pointer per measured hot loop, with one
-/// scalar reference implementation (kernels_scalar.cc) and per-ISA variants
-/// (kernels_avx2.cc and kernels_avx512.cc on x86-64, kernels_neon.cc on
-/// aarch64). A table is
-/// selected once at startup by dispatch.cc; sketches call through
-/// `simd::Kernels()` and never test CPU features themselves.
+/// scalar reference implementation (kernels_scalar.cc) and x86-64 variants
+/// (kernels_avx2.cc, kernels_avx512.cc). A variant exists only for entries
+/// where it measurably beats scalar; every other entry of a variant table
+/// points at the reference, and other architectures run the reference
+/// table. A table is selected once at startup by dispatch.cc; sketches call
+/// through `simd::Kernels()` and never test CPU features themselves.
 ///
 /// The contract every variant must honor is **bit identity**: for any
 /// input, a variant produces exactly the bytes/values the scalar reference
@@ -29,8 +30,7 @@
 namespace gems::simd {
 
 struct SimdKernels {
-  /// Variant name for bench/caps attribution: "scalar", "avx2", "avx512",
-  /// "neon".
+  /// Variant name for bench/caps attribution: "scalar", "avx2", "avx512".
   const char* name;
 
   // ---------------------------------------------------------------- hash
@@ -195,11 +195,6 @@ const SimdKernels* Avx2Kernels();
 /// the toolchain cannot target AVX-512. Inherits AVX2 kernels where a
 /// 512-bit form buys nothing.
 const SimdKernels* Avx512Kernels();
-#endif
-
-#if defined(__aarch64__)
-/// The NEON table (aarch64 always has NEON).
-const SimdKernels* NeonKernels();
 #endif
 
 }  // namespace gems::simd

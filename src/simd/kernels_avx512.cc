@@ -26,10 +26,17 @@
 /// (so they use 256-bit vectors — four lanes ARE the four stripes).
 ///
 /// One uarch note, measured on Sapphire Rapids: forwarding from a 512-bit
-/// store to the 64-bit reloads of an extract buffer stalls (~0.4x on the
-/// Count-Min row add), while 256-bit stores forward fine. Every
+/// store to the 64-bit reloads of an extract buffer stalls (a scatter
+/// kernel ran at ~0.4x), while 256-bit stores forward fine. Every
 /// vector-compute/scalar-scatter kernel below therefore spills indices
 /// through two 256-bit stores, never one 512-bit store.
+///
+/// As in kernels_avx2.cc, a variant stays only while it measurably beats
+/// what the table would otherwise inherit (see DESIGN.md and the `kernels`
+/// rows of `bench_e07_throughput --e07_simd_json`). The 512-bit Murmur3
+/// batch lost to the AVX2 one, and the scatter-dominated Count-Min,
+/// CountSketch and blocked Bloom kernels (other than cm_blocked_add) were
+/// at parity with scalar, so those entries are inherited.
 
 #if defined(__AVX512F__) && defined(__AVX512CD__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__) && defined(__AVX512BW__)
@@ -173,23 +180,6 @@ uint64_t Mix64Min(const uint64_t* keys, size_t n, uint64_t mixed_seed) {
   return best;
 }
 
-void Murmur3BatchU64(const uint64_t* keys, size_t n, uint64_t seed,
-                     uint64_t* lo, uint64_t* hi) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i k = _mm512_loadu_si512(keys + i);
-    __m512i l, h;
-    Murmur3x8(k, seed, &l, &h);
-    _mm512_storeu_si512(lo + i, l);
-    _mm512_storeu_si512(hi + i, h);
-  }
-  for (; i < n; ++i) {
-    const Hash128 h = Murmur3_128_U64(keys[i], seed);
-    lo[i] = h.low;
-    hi[i] = h.high;
-  }
-}
-
 // ------------------------------------------------------------ cardinality
 
 /// (index << 8) | rho for eight hashes. vplzcntq makes rho branch-free in
@@ -274,41 +264,6 @@ void U8Max(uint8_t* dst, const uint8_t* src, size_t n) {
 
 // -------------------------------------------------------------- frequency
 
-void CmRowAdd(uint64_t* row, uint64_t width, const uint64_t* hashes,
-              size_t n) {
-  const VecMod512 mod(width);
-  alignas(32) uint64_t idx[8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Store8(idx, mod(_mm512_loadu_si512(hashes + i)));
-    row[idx[0]] += 1;
-    row[idx[1]] += 1;
-    row[idx[2]] += 1;
-    row[idx[3]] += 1;
-    row[idx[4]] += 1;
-    row[idx[5]] += 1;
-    row[idx[6]] += 1;
-    row[idx[7]] += 1;
-  }
-  for (; i < n; ++i) row[mod.scalar(hashes[i])] += 1;
-}
-
-void CmRowAddWeighted(uint64_t* row, uint64_t width, const uint64_t* hashes,
-                      const int64_t* weights, size_t n) {
-  const VecMod512 mod(width);
-  alignas(32) uint64_t idx[8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Store8(idx, mod(_mm512_loadu_si512(hashes + i)));
-    for (int j = 0; j < 8; ++j) {
-      row[idx[j]] += static_cast<uint64_t>(weights[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    row[mod.scalar(hashes[i])] += static_cast<uint64_t>(weights[i]);
-  }
-}
-
 void CmRowMin(const uint64_t* row, uint64_t width, const uint64_t* hashes,
               size_t n, uint64_t* out) {
   const VecMod512 mod(width);
@@ -324,108 +279,38 @@ void CmRowMin(const uint64_t* row, uint64_t width, const uint64_t* hashes,
   }
 }
 
-using internal::CmBlockedAddOne;
-using internal::CmBlockedMinOne;
-using internal::CsBlockedAddOne;
-using internal::kCmBlockSlots;
-
-/// Hash + block-select phase shared by the blocked frequency kernels:
-/// 8-wide Murmur3 + vector modulo into the chunk-local arrays (blocks via
-/// Store8 because the probe loop reloads them as scalars), scalar tail
-/// bit-identical by the shared InvariantMod contract.
-inline void CmHashBlocksChunk(const uint64_t* keys, size_t len, uint64_t seed,
-                              const VecMod512& mod, uint64_t* blocks,
-                              uint64_t* probes) {
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    __m512i lo, hi;
-    Murmur3x8(_mm512_loadu_si512(keys + i), seed, &lo, &hi);
-    Store8(blocks + i, mod(lo));
-    _mm512_store_si512(probes + i, hi);
-  }
-  for (; i < len; ++i) {
-    const Hash128 h = Murmur3_128_U64(keys[i], seed);
-    blocks[i] = mod.scalar(h.low);
-    probes[i] = h.high;
-  }
-}
-
+/// Blocked Count-Min add: 8-wide Murmur3 and vector modulo fill a chunk of
+/// block indices (via Store8, because the probe loop reloads them as
+/// scalars) and probe words, scalar tail bit-identical by the shared
+/// InvariantMod contract; then the chunk is prefetched and probed.
 void CmBlockedAdd(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
                   uint32_t cols, uint64_t seed, const uint64_t* keys,
                   size_t n) {
+  using internal::kCmBlockSlots;
   const VecMod512 mod(num_blocks);
   constexpr size_t kChunk = 64;
   alignas(64) uint64_t blocks[kChunk];
   alignas(64) uint64_t probes[kChunk];
   for (size_t base = 0; base < n; base += kChunk) {
     const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
+    size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+      __m512i lo, hi;
+      Murmur3x8(_mm512_loadu_si512(keys + base + i), seed, &lo, &hi);
+      Store8(blocks + i, mod(lo));
+      _mm512_store_si512(probes + i, hi);
+    }
+    for (; i < len; ++i) {
+      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
+      blocks[i] = mod.scalar(h.low);
+      probes[i] = h.high;
+    }
+    for (i = 0; i < len; ++i) {
       __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
     }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], 1);
-    }
-  }
-}
-
-void CmBlockedAddWeighted(uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                          uint32_t cols, uint64_t seed, const uint64_t* keys,
-                          const int64_t* weights, size_t n) {
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], static_cast<uint64_t>(weights[base + i]));
-    }
-  }
-}
-
-void CmBlockedMin(const uint64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys, size_t n,
-                  uint64_t* out) {
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 0);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      out[base + i] = CmBlockedMinOne(&slots[blocks[i] * kCmBlockSlots], depth,
-                                      cols, probes[i]);
-    }
-  }
-}
-
-void CsBlockedAdd(int64_t* slots, uint64_t num_blocks, uint32_t depth,
-                  uint32_t cols, uint64_t seed, const uint64_t* keys,
-                  const int64_t* weights, size_t n) {
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    CmHashBlocksChunk(keys + base, len, seed, mod, blocks, probes);
-    for (size_t i = 0; i < len; ++i) {
-      __builtin_prefetch(&slots[blocks[i] * kCmBlockSlots], 1);
-    }
-    for (size_t i = 0; i < len; ++i) {
-      CsBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
-                      probes[i], weights == nullptr ? 1 : weights[base + i]);
+    for (i = 0; i < len; ++i) {
+      internal::CmBlockedAddOne(&slots[blocks[i] * kCmBlockSlots], depth, cols,
+                                probes[i], 1);
     }
   }
 }
@@ -448,71 +333,6 @@ double I64SumSquares(const int64_t* values, size_t n) {
     s[i & 3] += v * v;
   }
   return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-// ------------------------------------------------------------- membership
-
-void BlockedBloomInsert(uint64_t* words, uint64_t num_blocks, int k,
-                        uint64_t seed, const uint64_t* keys, size_t n) {
-  using internal::kBlockedBloomWordsPerBlock;
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-      __m512i lo, hi;
-      Murmur3x8(_mm512_loadu_si512(keys + base + i), seed, &lo, &hi);
-      Store8(blocks + i, mod(lo));
-      _mm512_store_si512(probes + i, hi);
-    }
-    for (; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod.scalar(h.low);
-      probes[i] = h.high;
-    }
-    for (i = 0; i < len; ++i) {
-      __builtin_prefetch(&words[blocks[i] * kBlockedBloomWordsPerBlock], 1);
-    }
-    for (i = 0; i < len; ++i) {
-      internal::BlockedBloomProbe(
-          &words[blocks[i] * kBlockedBloomWordsPerBlock], k, probes[i]);
-    }
-  }
-}
-
-void BlockedBloomQuery(const uint64_t* words, uint64_t num_blocks, int k,
-                       uint64_t seed, const uint64_t* keys, size_t n,
-                       uint8_t* out) {
-  using internal::kBlockedBloomWordsPerBlock;
-  const VecMod512 mod(num_blocks);
-  constexpr size_t kChunk = 64;
-  alignas(64) uint64_t blocks[kChunk];
-  alignas(64) uint64_t probes[kChunk];
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-      __m512i lo, hi;
-      Murmur3x8(_mm512_loadu_si512(keys + base + i), seed, &lo, &hi);
-      Store8(blocks + i, mod(lo));
-      _mm512_store_si512(probes + i, hi);
-    }
-    for (; i < len; ++i) {
-      const Hash128 h = Murmur3_128_U64(keys[base + i], seed);
-      blocks[i] = mod.scalar(h.low);
-      probes[i] = h.high;
-    }
-    for (i = 0; i < len; ++i) {
-      __builtin_prefetch(&words[blocks[i] * kBlockedBloomWordsPerBlock], 0);
-    }
-    for (i = 0; i < len; ++i) {
-      out[base + i] = internal::BlockedBloomTest(
-          &words[blocks[i] * kBlockedBloomWordsPerBlock], k, probes[i]);
-    }
-  }
 }
 
 // ------------------------------------------------------------ elementwise
@@ -555,29 +375,21 @@ void I64Add(int64_t* dst, const int64_t* src, size_t n) {
 }  // namespace
 
 const SimdKernels* Avx512Kernels() {
-  // Start from the AVX2 table: kernels with no profitable 512-bit form
-  // (Bloom flat-array probes, the gather-heavy query paths it already
-  // handles well, sorts) inherit the best narrower implementation.
+  // Start from the AVX2 table: kernels with no measured 512-bit win (the
+  // Murmur3 batch, the flat Bloom query, the harmonic sum, sorts and the
+  // scatter-bound entries) inherit the best narrower implementation.
   static const SimdKernels table = [] {
     const SimdKernels* base = Avx2Kernels();
     SimdKernels t = base != nullptr ? *base : ScalarKernels();
     t.name = "avx512";
     t.mix64_batch = &Mix64Batch;
     t.mix64_min = &Mix64Min;
-    t.murmur3_batch_u64 = &Murmur3BatchU64;
     t.hll_ingest = &HllIngest;
     t.hll_update_hashes = &HllUpdateHashes;
     t.u8_max = &U8Max;
-    t.cm_row_add = &CmRowAdd;
-    t.cm_row_add_weighted = &CmRowAddWeighted;
     t.cm_row_min = &CmRowMin;
     t.i64_sum_squares = &I64SumSquares;
     t.cm_blocked_add = &CmBlockedAdd;
-    t.cm_blocked_add_weighted = &CmBlockedAddWeighted;
-    t.cm_blocked_min = &CmBlockedMin;
-    t.cs_blocked_add = &CsBlockedAdd;
-    t.blocked_bloom_insert = &BlockedBloomInsert;
-    t.blocked_bloom_query = &BlockedBloomQuery;
     t.u64_min = &U64Min;
     t.u64_or = &U64Or;
     t.u64_add = &U64Add;

@@ -21,7 +21,6 @@
 #include "frequency/space_saving.h"
 #include "membership/blocked_bloom.h"
 #include "membership/bloom.h"
-#include "moments/ams.h"
 #include "quantiles/kll.h"
 #include "sampling/reservoir.h"
 #include "similarity/minhash.h"
@@ -231,36 +230,6 @@ TEST(BatchEquivalence, MisraGriesNoEvictions) {
   EXPECT_EQ(batched.Serialize(), sequential.Serialize());
 }
 
-TEST(BatchEquivalence, Ams) {
-  AmsSketch batched(16, 5, /*seed=*/41);
-  AmsSketch sequential(16, 5, /*seed=*/41);
-  const std::vector<uint64_t> items = ZipfItems(10000, 23);
-  FeedRagged<uint64_t>(items, [&](auto s) { batched.UpdateBatch(s); });
-  for (uint64_t item : items) sequential.Update(item);
-  EXPECT_EQ(batched.Serialize(), sequential.Serialize());
-}
-
-TEST(BatchEquivalence, AmsWeighted) {
-  AmsSketch batched(16, 5, /*seed=*/41);
-  AmsSketch sequential(16, 5, /*seed=*/41);
-  const std::vector<uint64_t> items = ZipfItems(5000, 24);
-  std::vector<int64_t> weights;
-  for (size_t i = 0; i < items.size(); ++i) {
-    weights.push_back(static_cast<int64_t>(i % 9) - 4);  // Includes negatives.
-  }
-  size_t offset = 0;
-  FeedRagged<uint64_t>(items, [&](std::span<const uint64_t> s) {
-    batched.UpdateBatch(s,
-                        std::span<const int64_t>(weights).subspan(offset, s.size()));
-    offset += s.size();
-  });
-  for (size_t i = 0; i < items.size(); ++i) {
-    sequential.Update(items[i], weights[i]);
-  }
-  EXPECT_EQ(batched.Serialize(), sequential.Serialize());
-}
-
-// Batched queries must agree point-for-point with their scalar twins.
 TEST(BatchEquivalence, CountMinEstimateBatch) {
   CountMinSketch sketch(2048, 4, /*seed=*/43);
   const std::vector<uint64_t> items = ZipfItems(20000, 25);

@@ -1,7 +1,7 @@
 // Parity suite for the kernel tables: every kernel in SimdKernels must
 // produce output bit-identical to the scalar reference on the same input.
 // The suite is parameterized over every variant table this build provides
-// AND this CPU can run (scalar, avx2, avx512, neon) — not just the table
+// AND this CPU can run (scalar, avx2, avx512) — not just the table
 // dispatch selected — so on AVX-512 hardware the AVX2 table is still
 // diffed even though dispatch would skip it. Sizes sweep empty,
 // single-element, and every non-lane-multiple tail around the 4/8/16/32/64
@@ -78,8 +78,6 @@ std::vector<const SimdKernels*> VariantTables() {
       __builtin_cpu_supports("avx512bw")) {
     tables.push_back(t);
   }
-#elif defined(__aarch64__)
-  tables.push_back(NeonKernels());
 #endif
   return tables;
 }
@@ -485,8 +483,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SimdDispatch, SelectionIsCoherent) {
   const DispatchInfo& info = Dispatch();
   const std::string level = info.level;
-  EXPECT_TRUE(level == "scalar" || level == "avx2" || level == "avx512" ||
-              level == "neon")
+  EXPECT_TRUE(level == "scalar" || level == "avx2" || level == "avx512")
       << level;
   // Without the test hook, the active table is the startup selection.
   EXPECT_STREQ(ActiveLevel(), info.level);
