@@ -77,7 +77,6 @@
 #include "quantiles/mrl.h"
 #include "quantiles/req.h"
 #include "quantiles/tdigest.h"
-#include "sampling/reservoir.h"
 #include "similarity/minhash.h"
 #include "simd/dispatch.h"
 #include "workload/generators.h"
@@ -324,40 +323,6 @@ void BM_CountMinUpdateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CountMinUpdateBatch)->Arg(4)->Arg(8);
 
-void BM_CountSketchUpdateBatch(benchmark::State& state) {
-  gems::CountSketch sketch(4096, 5, 1);
-  const auto items = TestItems();
-  for (auto _ : state) {
-    sketch.UpdateBatch(items);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(items.size()));
-}
-BENCHMARK(BM_CountSketchUpdateBatch);
-
-void BM_SpaceSavingUpdateBatch(benchmark::State& state) {
-  gems::SpaceSaving sketch(static_cast<size_t>(state.range(0)));
-  const auto items = TestItems();
-  for (auto _ : state) {
-    sketch.UpdateBatch(items);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(items.size()));
-}
-BENCHMARK(BM_SpaceSavingUpdateBatch)->Arg(256)->Arg(4096);
-
-void BM_KllUpdateBatch(benchmark::State& state) {
-  gems::KllSketch sketch(200, 1);
-  const auto values =
-      gems::GenerateValues(gems::ValueDistribution::kGaussian, 1 << 16, 2);
-  for (auto _ : state) {
-    sketch.UpdateBatch(values);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(values.size()));
-}
-BENCHMARK(BM_KllUpdateBatch);
-
 void BM_HyperLogLogMerge(benchmark::State& state) {
   gems::HyperLogLog a(12, 1), b(12, 1);
   for (uint64_t item : gems::DistinctItems(100000, 3)) b.Update(item);
@@ -460,15 +425,12 @@ int RunBatchedComparison(const std::string& json_path, size_t num_items) {
         s.UpdateBatch(b);
       }));
   results.push_back(Compare(
-      "countsketch", zipf, [] { return gems::CountSketch(4096, 5, 1); },
+      "countsketch", zipf,
+      [] {
+        return gems::CountSketch(4096, 5, 1, gems::SketchLayout::kBlocked);
+      },
       [](gems::CountSketch& s, uint64_t x) { s.Update(x); },
       [](gems::CountSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  results.push_back(Compare(
-      "spacesaving", zipf, [] { return gems::SpaceSaving(4096); },
-      [](gems::SpaceSaving& s, uint64_t x) { s.Update(x); },
-      [](gems::SpaceSaving& s, std::span<const uint64_t> b) {
         s.UpdateBatch(b);
       }));
   results.push_back(Compare(
@@ -484,37 +446,6 @@ int RunBatchedComparison(const std::string& json_path, size_t num_items) {
       [](gems::BlockedBloomFilter& s, std::span<const uint64_t> b) {
         s.InsertBatch(b);
       }));
-  results.push_back(Compare(
-      "reservoir", items, [] { return gems::ReservoirSampler(1024, 1); },
-      [](gems::ReservoirSampler& s, uint64_t x) { s.Update(x); },
-      [](gems::ReservoirSampler& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  // KLL ingests doubles; reuse the item stream as values.
-  {
-    std::vector<double> values;
-    values.reserve(items.size());
-    for (uint64_t item : items) {
-      values.push_back(static_cast<double>(item % 1000000));
-    }
-    const double seq = BestSeconds([&] {
-      gems::KllSketch sketch(200, 1);
-      for (double v : values) sketch.Update(v);
-      benchmark::DoNotOptimize(sketch);
-    });
-    const double bat = BestSeconds([&] {
-      gems::KllSketch sketch(200, 1);
-      std::span<const double> span(values);
-      for (size_t off = 0; off < span.size(); off += kChunk) {
-        sketch.UpdateBatch(
-            span.subspan(off, std::min(kChunk, span.size() - off)));
-      }
-      benchmark::DoNotOptimize(sketch);
-    });
-    const double n = static_cast<double>(values.size());
-    results.push_back(Comparison{"kll", n / seq / 1e6, n / bat / 1e6,
-                                 seq / bat});
-  }
 
   std::string json = "{\n  \"bench\": \"e07_batched_vs_per_item\",\n";
   json += "  \"items\": " + std::to_string(num_items) + ",\n";
@@ -669,12 +600,9 @@ std::vector<KernelRow> TimeKernels() {
   std::vector<uint64_t> hashes(kKeys), lo(kKeys), hi(kKeys), out(kKeys);
   ref.mix64_batch(keys.data(), kKeys, kSeed, hashes.data());
   ref.murmur3_batch_u64(keys.data(), kKeys, kSeed, lo.data(), hi.data());
-  std::vector<int64_t> weights(kKeys), signs(kKeys);
-  std::vector<uint32_t> buckets(kKeys);
+  std::vector<int64_t> weights(kKeys);
   for (size_t i = 0; i < kKeys; ++i) {
     weights[i] = static_cast<int64_t>(hashes[i] % 7) + 1;
-    signs[i] = (hashes[i] >> 63) != 0 ? 1 : -1;
-    buckets[i] = static_cast<uint32_t>(hashes[i] % kWidth);
   }
   std::vector<uint8_t> regs(kRegs), other_regs(kRegs), found(kKeys);
   ref.hll_ingest(other_regs.data(), kPrecision, keys.data(), kKeys, kSeed);
@@ -716,8 +644,6 @@ std::vector<KernelRow> TimeKernels() {
              fn(row.data(), kWidth, hashes.data(), weights.data(), kKeys));
   KERNEL_ROW(cm_row_min, kKeys,
              fn(row.data(), kWidth, hashes.data(), kKeys, out.data()));
-  KERNEL_ROW(cs_row_scatter, kKeys,
-             fn(cs_row.data(), buckets.data(), signs.data(), kKeys));
   KERNEL_ROW(i64_sum_squares, kWidth,
              benchmark::DoNotOptimize(fn(cs_row.data(), kWidth)));
   KERNEL_ROW(cm_blocked_add, kKeys,
@@ -775,7 +701,10 @@ int RunSimdComparison(const std::string& json_path, size_t num_items) {
         s.UpdateBatch(b);
       }));
   rows.push_back(CompareSimd(
-      "countsketch", zipf, [] { return gems::CountSketch(4096, 5, 1); },
+      "countsketch", zipf,
+      [] {
+        return gems::CountSketch(4096, 5, 1, gems::SketchLayout::kBlocked);
+      },
       [](gems::CountSketch& s, uint64_t x) { s.Update(x); },
       [](gems::CountSketch& s, std::span<const uint64_t> b) {
         s.UpdateBatch(b);
@@ -994,18 +923,6 @@ std::vector<size_t> ScalingWorkerCounts() {
 }
 
 template <typename S>
-void FeedChunk(S& sketch,
-               std::span<const typename gems::ShardedPipeline<S>::Item> b) {
-  if constexpr (gems::BatchItemSummary<S>) {
-    sketch.UpdateBatch(b);
-  } else if constexpr (gems::BatchInsertableSummary<S>) {
-    sketch.InsertBatch(b);
-  } else {
-    sketch.UpdateBatch(b);
-  }
-}
-
-template <typename S>
 void ScaleSketch(
     const char* name, const S& prototype,
     const std::vector<typename gems::ShardedPipeline<S>::Item>& stream,
@@ -1017,8 +934,8 @@ void ScaleSketch(
   const double base = BestSeconds([&] {
     S sketch = prototype;
     for (size_t off = 0; off < span.size(); off += kChunk) {
-      FeedChunk(sketch,
-                span.subspan(off, std::min(kChunk, span.size() - off)));
+      gems::IngestBatch(
+          sketch, span.subspan(off, std::min(kChunk, span.size() - off)));
     }
     benchmark::DoNotOptimize(sketch);
   });

@@ -1,6 +1,7 @@
 #ifndef GEMS_CORE_REGISTRY_H_
 #define GEMS_CORE_REGISTRY_H_
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -30,14 +31,6 @@
 /// can reconstruct and merge the sketch by reading the type tag alone.
 
 namespace gems {
-
-/// A summary whose Update takes no argument we can synthesize (e.g. graph
-/// sketches updated edge-by-edge) still round-trips and merges through
-/// AnySketch; only Update(u64) reports Unimplemented for it.
-template <typename S>
-concept InsertableSummary = requires(S s, uint64_t item) {
-  { s.Insert(item) };
-};
 
 /// Pure event counters (Morris) have no notion of an item at all; a
 /// type-erased Update(item) just counts the event.
@@ -91,11 +84,10 @@ class AnySketch {
   /// return kUnimplemented.
   Status Update(uint64_t item);
 
-  /// Feeds a batch of 64-bit items. Dispatches to the sketch's native
-  /// batch entry point (UpdateBatch / InsertBatch) when it has one —
-  /// value sketches get the items converted to doubles — and falls back
-  /// to the per-item Update loop otherwise. Same status semantics as
-  /// Update().
+  /// Feeds a batch of 64-bit items through IngestBatch: the sketch's
+  /// native batch entry point (UpdateBatch / InsertBatch) when it has
+  /// one, the per-item Update loop otherwise (value sketches take each
+  /// item as a double). Same status semantics as Update().
   Status UpdateBatch(std::span<const uint64_t> items);
 
   /// Feeds a batch of timestamped items (parallel spans, sizes must
@@ -192,10 +184,10 @@ class AnySketch {
     Status Update(uint64_t item) override {
       if constexpr (ItemSummary<S>) {
         sketch.Update(item);
-      } else if constexpr (WeightedItemSummary<S>) {
-        sketch.Update(item, 1);
       } else if constexpr (ValueSummary<S>) {
         sketch.Update(static_cast<double>(item));
+      } else if constexpr (WeightedItemSummary<S>) {
+        sketch.Update(item, 1);
       } else if constexpr (InsertableSummary<S>) {
         sketch.Insert(item);
       } else if constexpr (IncrementableSummary<S>) {
@@ -208,20 +200,12 @@ class AnySketch {
     }
 
     Status UpdateBatch(std::span<const uint64_t> items) override {
-      if constexpr (BatchItemSummary<S>) {
-        sketch.UpdateBatch(items);
-      } else if constexpr (BatchInsertableSummary<S>) {
-        sketch.InsertBatch(items);
-      } else if constexpr (BatchValueSummary<S>) {
-        std::vector<double> values;
-        values.reserve(items.size());
-        for (uint64_t item : items) {
-          values.push_back(static_cast<double>(item));
-        }
-        sketch.UpdateBatch(values);
+      if constexpr (IngestibleSummary<S> &&
+                    std::same_as<IngestItem<S>, uint64_t>) {
+        IngestBatch(sketch, items);
       } else {
-        // No native batch path: fall back to the per-item loop (this also
-        // surfaces kUnimplemented for sketches with no update shape).
+        // Value sketches take each item as a double; the per-item loop
+        // also surfaces kUnimplemented for sketches with no update shape.
         for (uint64_t item : items) {
           if (Status s = Update(item); !s.ok()) return s;
         }

@@ -4,6 +4,7 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -31,11 +32,30 @@ concept MergeableSummary = requires(S s, const S& other) {
   { s.Merge(other) } -> std::same_as<Status>;
 };
 
-/// A summary over unweighted 64-bit items (sets / multisets of keys).
-template <typename S>
-concept ItemSummary = requires(S s, uint64_t item) {
-  { s.Update(item) };
+namespace summary_internal {
+
+/// Converts to `T` and to nothing else, not even through a standard
+/// conversion after the user-defined one: the conversion operator is a
+/// template that only deduces `T`. Passing one to `Update` therefore asks
+/// whether the summary takes exactly a `T`, where a plain `uint64_t` or
+/// `double` argument would also bind to the other type's overload.
+template <typename T>
+struct Exactly {
+  template <typename U>
+    requires std::same_as<U, T>
+  operator U() const;
 };
+
+}  // namespace summary_internal
+
+/// A summary over unweighted 64-bit items (sets / multisets of keys):
+/// `Update` takes a `uint64_t` as its only required argument. Detected
+/// exactly, so a value summary's `Update(double)` does not qualify.
+template <typename S>
+concept ItemSummary =
+    requires(S s, summary_internal::Exactly<uint64_t> item) {
+      { s.Update(item) };
+    };
 
 /// A summary over weighted items (frequency vectors).
 template <typename S>
@@ -43,43 +63,70 @@ concept WeightedItemSummary = requires(S s, uint64_t item, int64_t weight) {
   { s.Update(item, weight) };
 };
 
-/// A summary over real values (quantile sketches).
+/// A summary over real values (quantile sketches): `Update` takes a
+/// `double`. Detected exactly, like ItemSummary.
 template <typename S>
-concept ValueSummary = requires(S s, double value) {
+concept ValueSummary = requires(S s, summary_internal::Exactly<double> value) {
   { s.Update(value) };
 };
 
-/// A summary with a batched item ingest path. The contract (verified by the
-/// wire tests) is strict: `UpdateBatch(items)` must leave the summary in a
-/// state byte-identical (after Serialize) to feeding the same items through
-/// `Update` one at a time, in order.
+/// A membership filter: items go in through `Insert(uint64_t)`.
 template <typename S>
-concept BatchItemSummary = requires(S s, std::span<const uint64_t> items) {
-  { s.UpdateBatch(items) };
-};
-
-/// A weighted summary with a batched ingest path applying one weight per
-/// item (parallel spans).
-template <typename S>
-concept BatchWeightedItemSummary =
-    requires(S s, std::span<const uint64_t> items,
-             std::span<const int64_t> weights) {
-      { s.UpdateBatch(items, weights) };
+concept InsertableSummary =
+    requires(S s, summary_internal::Exactly<uint64_t> key) {
+      { s.Insert(key) };
     };
 
-/// A value (quantile) summary with a batched ingest path.
+/// A summary with one of the three per-item ingest shapes above.
 template <typename S>
-concept BatchValueSummary = requires(S s, std::span<const double> values) {
-  { s.UpdateBatch(values) };
-};
+concept IngestibleSummary =
+    ItemSummary<S> || InsertableSummary<S> || ValueSummary<S>;
+
+/// The element type of a summary's per-item ingest: `double` for value
+/// summaries, `uint64_t` for everything else.
+template <typename S>
+using IngestItem =
+    std::conditional_t<ValueSummary<S> && !ItemSummary<S> &&
+                           !InsertableSummary<S>,
+                       double, uint64_t>;
+
+/// A summary with a native batched ingest path over its element type.
+/// The contract (verified by tests/batch_test.cc) is strict:
+/// `UpdateBatch(items)` must leave the summary in a state byte-identical
+/// (after Serialize) to feeding the same items through `Update` one at a
+/// time, in order.
+template <typename S>
+concept BatchItemSummary =
+    IngestibleSummary<S> &&
+    requires(S s, std::span<const IngestItem<S>> items) {
+      { s.UpdateBatch(items) };
+    };
 
 /// A membership filter with a batched insert path (same byte-identical
 /// contract as BatchItemSummary, against Insert).
 template <typename S>
 concept BatchInsertableSummary =
-    requires(S s, std::span<const uint64_t> keys) {
+    InsertableSummary<S> && requires(S s, std::span<const uint64_t> keys) {
       { s.InsertBatch(keys) };
     };
+
+/// Feeds `items` to `summary`: through its native `UpdateBatch` or
+/// `InsertBatch` when it has one, else one `Update` or `Insert` per item.
+/// The one place batch ingest picks its path, so a family keeps a batch
+/// method only where it measurably beats the per-item loop.
+template <typename S>
+  requires IngestibleSummary<S>
+void IngestBatch(S& summary, std::span<const IngestItem<S>> items) {
+  if constexpr (BatchItemSummary<S>) {
+    summary.UpdateBatch(items);
+  } else if constexpr (BatchInsertableSummary<S>) {
+    summary.InsertBatch(items);
+  } else if constexpr (InsertableSummary<S> && !ItemSummary<S>) {
+    for (const uint64_t key : items) summary.Insert(key);
+  } else {
+    for (const IngestItem<S> item : items) summary.Update(item);
+  }
+}
 
 /// A summary with a no-argument point estimate (the unified Estimate()
 /// surface of the cardinality / counting families). The concurrent

@@ -10,9 +10,7 @@
 
 #include "common/check.h"
 #include "common/status.h"
-#include "core/io.h"
 #include "core/summary.h"
-#include "core/view.h"
 #include "core/wire.h"
 #include "distributed/thread_pool.h"
 #include "hash/hash.h"
@@ -110,72 +108,6 @@ Result<S> AggregateTree(std::vector<S> leaves) {
   return AggregateTree(std::move(leaves), 2, nullptr);
 }
 
-/// Merges serialized leaf envelopes up a fanout-`fanout` tree without
-/// materializing them: each leaf-level group materializes only its first
-/// envelope (the accumulator) and absorbs the rest via MergeFromView,
-/// straight out of the caller's buffers. Upper levels run the ordinary
-/// AggregateTree over the group accumulators, so the root is byte-identical
-/// (Serialize()) to deserializing every envelope and calling AggregateTree
-/// — that equivalence is pinned by tests/view_test.cc.
-///
-/// This is the fan-in shape of the mergeable-summaries scenario as it
-/// actually occurs in production: the combiner holds N serialized blobs
-/// (from workers, from a shuffle, from object storage) and wants one root.
-/// Stats count the real envelope byte sizes at the leaf level — no
-/// re-serialization needed to account communication.
-///
-/// The envelopes are borrowed and must stay alive and unmodified for the
-/// duration of the call.
-template <typename S>
-  requires MergeableSummary<S> && ViewMergeableSummary<S> &&
-           SerializableSummary<S>
-Result<S> AggregateTreeFromEnvelopes(std::span<const ByteSpan> envelopes,
-                                     int fanout,
-                                     AggregationStats* stats = nullptr) {
-  GEMS_CHECK(fanout >= 2);
-  if (envelopes.empty()) {
-    return Status::InvalidArgument("no leaves to aggregate");
-  }
-  AggregationStats local;
-  const size_t fan = static_cast<size_t>(fanout);
-  std::vector<S> level;
-  level.reserve((envelopes.size() + fan - 1) / fan);
-  if (envelopes.size() > 1) ++local.tree_depth;
-  for (size_t i = 0; i < envelopes.size(); i += fan) {
-    Result<View<S>> first = View<S>::Wrap(envelopes[i]);
-    if (!first.ok()) return first.status();
-    Result<S> combined = first.value().Materialize();
-    if (!combined.ok()) return combined.status();
-    const size_t end = std::min(envelopes.size(), i + fan);
-    for (size_t j = i + 1; j < end; ++j) {
-      Result<View<S>> view = View<S>::Wrap(envelopes[j]);
-      if (!view.ok()) return view.status();
-      if (stats != nullptr) {
-        local.communication_bytes += envelopes[j].size();
-        ++local.num_messages;
-        local.envelope_overhead_bytes += kWireHeaderSize;
-      }
-      Status s = combined.value().MergeFromView(view.value());
-      if (!s.ok()) return s;
-      ++local.num_merges;
-    }
-    level.push_back(std::move(combined).value());
-  }
-  AggregationStats upper;
-  Result<S> root =
-      AggregateTree(std::move(level), fanout, stats ? &upper : nullptr);
-  if (!root.ok()) return root.status();
-  if (stats != nullptr) {
-    local.tree_depth += upper.tree_depth;
-    local.num_merges += upper.num_merges;
-    local.communication_bytes += upper.communication_bytes;
-    local.num_messages += upper.num_messages;
-    local.envelope_overhead_bytes += upper.envelope_overhead_bytes;
-    *stats = local;
-  }
-  return root;
-}
-
 /// Parallel merge tree: same pairing and same in-group merge order as
 /// AggregateTree, but the groups of each level — which touch disjoint
 /// summaries — are merged concurrently on `pool`. Because every individual
@@ -233,81 +165,6 @@ Result<S> ParallelAggregateTree(std::vector<S> leaves, int fanout,
   }
   if (stats != nullptr) *stats = local;
   return std::move(level.front());
-}
-
-/// Parallel form of AggregateTreeFromEnvelopes: the leaf-level groups —
-/// which wrap and absorb disjoint envelopes — run concurrently on `pool`,
-/// then the group accumulators are merged with ParallelAggregateTree.
-/// Every individual MergeFromView matches the sequential envelope tree's,
-/// so the root is byte-identical to both the sequential envelope tree and
-/// the deserialize-everything AggregateTree. Stats report depth and merge
-/// count only, like ParallelAggregateTree.
-template <typename S>
-  requires MergeableSummary<S> && ViewMergeableSummary<S> &&
-           SerializableSummary<S>
-Result<S> ParallelAggregateTreeFromEnvelopes(
-    std::span<const ByteSpan> envelopes, int fanout, ThreadPool* pool,
-    AggregationStats* stats = nullptr) {
-  GEMS_CHECK(fanout >= 2);
-  GEMS_CHECK(pool != nullptr);
-  if (envelopes.empty()) {
-    return Status::InvalidArgument("no leaves to aggregate");
-  }
-  AggregationStats local;
-  const size_t fan = static_cast<size_t>(fanout);
-  const size_t num_groups = (envelopes.size() + fan - 1) / fan;
-  if (envelopes.size() > 1) ++local.tree_depth;
-  local.num_merges += envelopes.size() - num_groups;
-  std::vector<std::optional<S>> slots(num_groups);
-  std::vector<Status> statuses(num_groups);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    tasks.push_back([&envelopes, &slots, &statuses, fan, g] {
-      const size_t begin = g * fan;
-      const size_t end = std::min(envelopes.size(), begin + fan);
-      Result<View<S>> first = View<S>::Wrap(envelopes[begin]);
-      if (!first.ok()) {
-        statuses[g] = first.status();
-        return;
-      }
-      Result<S> combined = first.value().Materialize();
-      if (!combined.ok()) {
-        statuses[g] = combined.status();
-        return;
-      }
-      for (size_t j = begin + 1; j < end; ++j) {
-        Result<View<S>> view = View<S>::Wrap(envelopes[j]);
-        if (!view.ok()) {
-          statuses[g] = view.status();
-          return;
-        }
-        Status s = combined.value().MergeFromView(view.value());
-        if (!s.ok()) {
-          statuses[g] = std::move(s);
-          return;
-        }
-      }
-      slots[g].emplace(std::move(combined).value());
-    });
-  }
-  pool->RunAll(std::move(tasks));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  std::vector<S> level;
-  level.reserve(num_groups);
-  for (std::optional<S>& slot : slots) level.push_back(std::move(*slot));
-  AggregationStats upper;
-  Result<S> root = ParallelAggregateTree(std::move(level), fanout, pool,
-                                         stats ? &upper : nullptr);
-  if (!root.ok()) return root.status();
-  if (stats != nullptr) {
-    local.tree_depth += upper.tree_depth;
-    local.num_merges += upper.num_merges;
-    *stats = local;
-  }
-  return root;
 }
 
 }  // namespace gems

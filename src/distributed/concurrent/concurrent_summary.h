@@ -28,9 +28,9 @@
 ///
 /// Data flow, writer side:
 ///   item --> per-thread bounded buffer (plain vector append, no atomics)
-///        --> on fill: one UpdateBatch/InsertBatch drain into the
-///            thread's private *local sketch* (the expensive hashing work,
-///            entirely off any shared state)
+///        --> on fill: one IngestBatch drain into the thread's private
+///            *local sketch* (the expensive hashing work, entirely off any
+///            shared state)
 ///        --> propagation: the local sketch is folded (Merge) into the
 ///            shared global under the fold mutex, then reset to an empty
 ///            delta. Folds use try_lock first: a writer that finds the
@@ -53,8 +53,9 @@
 ///   - An external fold that has returned is visible to every read that
 ///     starts after it returns (on any thread).
 ///   - Writer-thread updates, and external folds still in progress, may
-///     or may not be visible: a writer's unfolded tail is at most
-///     max_pending_items + buffer_items items.
+///     or may not be visible: a writer's unfolded tail is under
+///     9 x buffer_items items (a full buffer plus a local sketch holding
+///     under the 8 x buffer_items hard cap).
 ///   - A read never sees a torn state: a published version is a real
 ///     sketch state, the merge of whole deltas.
 ///   - epoch() counts publications readers have observed, not folds.
@@ -73,38 +74,32 @@ template <typename S>
            std::is_copy_assignable_v<S>
 class ConcurrentSummary {
  public:
-  /// True when updates are staged in a per-thread buffer of 64-bit items
-  /// (item and membership summaries) before the batched drain.
-  static constexpr bool kBuffersItems =
-      BatchItemSummary<S> || BatchInsertableSummary<S>;
-  /// True when the buffer holds doubles (value/quantile summaries).
-  static constexpr bool kBuffersValues =
-      !kBuffersItems && BatchValueSummary<S>;
-  static constexpr bool kBuffered = kBuffersItems || kBuffersValues;
-  /// What the per-thread buffer holds.
-  using BufferItem = std::conditional_t<kBuffersValues, double, uint64_t>;
+  /// True when single updates are staged in a per-thread buffer before
+  /// the batched drain: S has a per-item ingest shape.
+  static constexpr bool kBuffered = IngestibleSummary<S>;
+  /// What the per-thread buffer holds: doubles for value (quantile)
+  /// summaries, 64-bit items otherwise.
+  using BufferItem = IngestItem<S>;
 
   struct Options {
     /// Per-thread item buffer capacity; a full buffer triggers one batched
-    /// drain into the thread's local sketch.
+    /// drain into the thread's local sketch. It also sets the fold
+    /// thresholds: a writer folds its local sketch into the global once
+    /// it holds buffer_items items, using try_lock and accumulating on if
+    /// the fold mutex is busy, and waits for the mutex only at
+    /// kMaxPendingBuffers x buffer_items. So a query can miss under
+    /// (kMaxPendingBuffers + 1) x buffer_items items per live writer.
     size_t buffer_items = 4096;
     /// Writer slots. 0 picks 2x the hardware concurrency, clamped to
     /// [kMinSlots, kMaxSlots]. Threads beyond the slot count fall back to
     /// a (correct, slower) locked path on the global.
     size_t max_threads = 0;
-    /// Fold the local sketch into the global once this many items have
-    /// accumulated in it; 0 means "every buffer drain". Together with the
-    /// buffer this bounds staleness: a query can miss at most
-    /// max_pending_items + buffer_items per live writer thread.
-    size_t propagate_items = 0;
-    /// Hard cap on unfolded local items: below it a writer uses try_lock
-    /// and keeps going if the fold mutex is busy; at the cap it waits.
-    /// 0 means 8x propagate_items.
-    size_t max_pending_items = 0;
   };
 
   static constexpr size_t kMinSlots = 8;
   static constexpr size_t kMaxSlots = 256;
+  /// The hard cap on a writer's unfolded local items, in buffers.
+  static constexpr size_t kMaxPendingBuffers = 8;
 
   /// All sketches (global, published copies, per-thread locals) start as
   /// copies of `prototype`, so folds are merge-compatible by construction.
@@ -162,30 +157,23 @@ class ConcurrentSummary {
 
   /// Membership-filter convenience; same buffered path as Update.
   void Insert(uint64_t key)
-    requires BatchInsertableSummary<S>
+    requires InsertableSummary<S>
   {
     Update(key);
   }
 
-  /// Thread-safe batch drain (old API): the span feeds the thread's local
-  /// sketch through the summary's batch fast path, then propagates if the
-  /// fold threshold is crossed. No locks unless propagating.
-  void UpdateBatch(std::span<const uint64_t> items)
-    requires BatchItemSummary<S>
+  /// Thread-safe batch drain: the span feeds the thread's local sketch
+  /// through IngestBatch, then propagates if the fold threshold is
+  /// crossed. No locks unless propagating.
+  void UpdateBatch(std::span<const BufferItem> items)
+    requires ItemSummary<S> || ValueSummary<S>
   {
     IngestSpan(items);
   }
 
-  /// Batch drain for value (quantile) summaries.
-  void UpdateBatch(std::span<const double> values)
-    requires BatchValueSummary<S> && (!BatchItemSummary<S>)
-  {
-    IngestSpan(values);
-  }
-
-  /// Batch drain for membership filters (old API).
+  /// Batch drain for membership filters.
   void InsertBatch(std::span<const uint64_t> keys)
-    requires BatchInsertableSummary<S>
+    requires InsertableSummary<S>
   {
     IngestSpan(keys);
   }
@@ -356,12 +344,6 @@ class ConcurrentSummary {
           std::min(kMaxSlots, std::max(kMinSlots, 2 * std::max<size_t>(hw, 1)));
     }
     if (options.max_threads > kMaxSlots) options.max_threads = kMaxSlots;
-    if (options.propagate_items == 0) {
-      options.propagate_items = options.buffer_items;
-    }
-    if (options.max_pending_items < options.propagate_items) {
-      options.max_pending_items = 8 * options.propagate_items;
-    }
     return options;
   }
 
@@ -419,36 +401,23 @@ class ConcurrentSummary {
     slot.claimed.store(false, std::memory_order_release);
   }
 
-  template <typename Item>
-  void IngestSpan(std::span<const Item> items) {
+  void IngestSpan(std::span<const BufferItem> items) {
     Shared& sh = *shared_;
     Local* local = AcquireLocal(sh);
     if (local == nullptr) {
       std::lock_guard<std::mutex> lock(sh.fold_mutex);
-      ApplySpan(sh.global, items);
+      IngestBatch(sh.global, items);
       OverflowTick(sh, items.size());
       return;
     }
     if (!local->buffer.empty()) DrainBuffer(*local);
-    ApplySpan(*local->sketch, items);
+    IngestBatch(*local->sketch, items);
     local->pending += items.size();
     MaybePropagate(sh, *local);
   }
 
-  template <typename Item>
-  static void ApplySpan(S& sketch, std::span<const Item> items) {
-    if constexpr (std::is_same_v<Item, uint64_t> && BatchItemSummary<S>) {
-      (void)sketch.UpdateBatch(items);
-    } else if constexpr (std::is_same_v<Item, uint64_t> &&
-                         BatchInsertableSummary<S>) {
-      (void)sketch.InsertBatch(items);
-    } else {
-      (void)sketch.UpdateBatch(items);
-    }
-  }
-
   static void DrainBuffer(Local& local) {
-    ApplySpan(*local.sketch, std::span<const BufferItem>(local.buffer));
+    IngestBatch(*local.sketch, std::span<const BufferItem>(local.buffer));
     local.pending += local.buffer.size();
     local.buffer.clear();
   }
@@ -459,13 +428,13 @@ class ConcurrentSummary {
   void OverflowApply(Shared& sh, BufferItem item) {
     std::lock_guard<std::mutex> lock(sh.fold_mutex);
     const BufferItem one[1] = {item};
-    ApplySpan(sh.global, std::span<const BufferItem>(one));
+    IngestBatch(sh.global, std::span<const BufferItem>(one));
     OverflowTick(sh, 1);
   }
 
   static void OverflowTick(Shared& sh, size_t items) {
     sh.overflow_pending += items;
-    if (sh.overflow_pending >= sh.options.propagate_items) {
+    if (sh.overflow_pending >= sh.options.buffer_items) {
       ForcePublish(sh);
     }
   }
@@ -473,8 +442,8 @@ class ConcurrentSummary {
   // --------------------------------------------------------- propagation
 
   static void MaybePropagate(Shared& sh, Local& local) {
-    if (local.pending < sh.options.propagate_items) return;
-    if (local.pending < sh.options.max_pending_items) {
+    if (local.pending < sh.options.buffer_items) return;
+    if (local.pending < kMaxPendingBuffers * sh.options.buffer_items) {
       std::unique_lock<std::mutex> lock(sh.fold_mutex, std::try_to_lock);
       if (!lock.owns_lock()) return;  // Busy: keep accumulating locally.
       Fold(sh, local);

@@ -8,7 +8,6 @@
 #include <memory>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #if defined(__linux__)
@@ -31,8 +30,8 @@
 /// counting), in the shape the concurrent-DataSketches line of work
 /// (Rinberg et al.) productionized. Each worker thread owns one private,
 /// unsynchronized sketch shard and drains a bounded SPSC ring of
-/// pre-chunked item spans, so the hot path is exactly the existing
-/// UpdateBatch fast path — zero locks, zero shared cache lines. Each
+/// pre-chunked item spans, so the hot path is exactly the sketch's own
+/// batch ingest (IngestBatch) — zero locks, zero shared cache lines. Each
 /// shard is constructed *on its own worker thread*, so under Linux's
 /// default first-touch NUMA policy the counter pages land on the node
 /// that will hammer them; optional worker pinning keeps the thread (and
@@ -78,12 +77,10 @@ inline bool PinCurrentThreadTo(size_t cpu) {
 
 }  // namespace pipeline_internal
 
-/// A summary the pipeline can shard: mergeable, with one of the batch
-/// ingest fast paths.
+/// A summary the pipeline can shard: mergeable, with a per-item ingest
+/// shape (IngestBatch picks a native batch path when there is one).
 template <typename S>
-concept ShardableSummary =
-    MergeableSummary<S> && (BatchItemSummary<S> || BatchInsertableSummary<S> ||
-                            BatchValueSummary<S>);
+concept ShardableSummary = MergeableSummary<S> && IngestibleSummary<S>;
 
 /// Fixed-pool sharded ingest pipeline for one logical sketch.
 ///
@@ -103,28 +100,21 @@ class ShardedPipeline {
  public:
   /// What the rings carry: 64-bit items for item/membership summaries,
   /// doubles for value (quantile) summaries.
-  using Item =
-      std::conditional_t<BatchItemSummary<S> || BatchInsertableSummary<S>,
-                         uint64_t, double>;
+  using Item = IngestItem<S>;
 
   struct Options {
     /// 0 picks the hardware concurrency. One pool thread per worker.
     size_t num_workers = 0;
     /// Chunks each worker's ring can buffer before Push() blocks.
     size_t ring_capacity = 64;
-    /// Items per chunk; the batch size every UpdateBatch call sees.
+    /// Items per chunk; the batch size every ingest call sees.
     size_t chunk_items = 4096;
-    /// Fanout of the parallel merge tree in Finish().
-    int merge_fanout = 2;
-    /// Pins worker i to CPU (pin_offset + i) % hardware_concurrency. With
-    /// first-touch shard allocation this keeps each shard's counter pages
-    /// and the thread that owns them on the same NUMA node for the
-    /// pipeline's lifetime. Best-effort: unsupported platforms and denied
-    /// affinity calls are counted, not fatal (see pinned_workers()).
+    /// Pins worker i to CPU i % hardware_concurrency. With first-touch
+    /// shard allocation this keeps each shard's counter pages and the
+    /// thread that owns them on the same NUMA node for the pipeline's
+    /// lifetime. Best-effort: unsupported platforms and denied affinity
+    /// calls are counted, not fatal (see pinned_workers()).
     bool pin_workers = false;
-    /// First CPU index for pinning — lets two co-resident pipelines
-    /// interleave onto disjoint cores.
-    size_t pin_offset = 0;
   };
 
   explicit ShardedPipeline(const S& prototype, Options options = Options{})
@@ -132,7 +122,6 @@ class ShardedPipeline {
         pool_(options.num_workers) {
     GEMS_CHECK(options_.chunk_items >= 1);
     GEMS_CHECK(options_.ring_capacity >= 1);
-    GEMS_CHECK(options_.merge_fanout >= 2);
     const size_t workers = pool_.num_threads();
     shards_.resize(workers);
     drained_.Add(workers);
@@ -147,7 +136,7 @@ class ShardedPipeline {
     for (size_t i = 0; i < workers; ++i) {
       pool_.Submit([this, i, &prototype, &ready] {
         if (options_.pin_workers &&
-            pipeline_internal::PinCurrentThreadTo(options_.pin_offset + i)) {
+            pipeline_internal::PinCurrentThreadTo(i)) {
           pinned_count_.fetch_add(1, std::memory_order_relaxed);
         }
         shards_[i] =
@@ -235,8 +224,7 @@ class ShardedPipeline {
     for (std::unique_ptr<Shard>& shard : shards_) {
       leaves.push_back(std::move(shard->summary));
     }
-    return ParallelAggregateTree(std::move(leaves), options_.merge_fanout,
-                                 &pool_);
+    return ParallelAggregateTree(std::move(leaves), kMergeFanout, &pool_);
   }
 
   /// Finish() variant that serializes the merged root straight into a
@@ -258,6 +246,9 @@ class ShardedPipeline {
   }
 
  private:
+  /// Fanout of the parallel merge tree in Finish().
+  static constexpr int kMergeFanout = 2;
+
   /// A borrowed span in ring-slot form (trivially copyable).
   struct Chunk {
     const Item* data = nullptr;
@@ -273,28 +264,11 @@ class ShardedPipeline {
     S summary;
   };
 
-  static void Apply(S& summary, const Chunk& chunk) {
-    const std::span<const Item> span(chunk.data, chunk.size);
-    if constexpr (BatchItemSummary<S>) {
-      summary.UpdateBatch(span);
-    } else if constexpr (BatchInsertableSummary<S>) {
-      summary.InsertBatch(span);
-    } else {
-      summary.UpdateBatch(span);  // BatchValueSummary.
-    }
-  }
-
-  /// Applies one chunk to the live concurrent global through its batched
-  /// (thread-local buffered) ingest paths — same dispatch as Apply.
-  static void ApplyLive(ConcurrentSummary<S>& live, const Chunk& chunk) {
-    const std::span<const Item> span(chunk.data, chunk.size);
-    if constexpr (BatchItemSummary<S>) {
-      live.UpdateBatch(span);
-    } else if constexpr (BatchInsertableSummary<S>) {
-      live.InsertBatch(span);
-    } else {
-      live.UpdateBatch(span);  // BatchValueSummary.
-    }
+  /// Applies one chunk to a private shard or, through its thread-local
+  /// buffered batch path, to the live concurrent global.
+  template <typename Target>
+  static void Apply(Target& target, const Chunk& chunk) {
+    IngestBatch(target, std::span<const Item>(chunk.data, chunk.size));
   }
 
   void DrainLoop(size_t index) {
@@ -307,7 +281,7 @@ class ShardedPipeline {
     const auto apply = [&](const Chunk& chunk) {
       if (live == nullptr) live = live_.load(std::memory_order_acquire);
       if (live != nullptr) {
-        ApplyLive(*live, chunk);
+        Apply(*live, chunk);
       } else {
         Apply(shard.summary, chunk);
       }

@@ -429,6 +429,16 @@ Status CountMinSketch::MergeFromView(const View<CountMinSketch>& view) {
     }
     wire_layout = static_cast<SketchLayout>(layout_byte);
   }
+  if (wire_layout == SketchLayout::kBlocked) {
+    // A peer no blocked sketch could have written is corrupt, whatever our
+    // own shape: Deserialize rejects it before Merge's compatibility check.
+    if (depth > static_cast<uint32_t>(kCmBlockSlots)) {
+      return Status::Corruption("CountMin blocked depth exceeds block");
+    }
+    if (width % BlockColsFor(depth) != 0) {
+      return Status::Corruption("CountMin blocked width not block-aligned");
+    }
+  }
   if (width != width_ || depth != depth_ || seed != seed_ ||
       wire_layout != layout_) {
     return Status::InvalidArgument(

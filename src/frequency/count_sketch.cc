@@ -6,10 +6,8 @@
 
 #include "common/check.h"
 #include "common/numeric.h"
-#include "common/prefetch.h"
 #include "core/wire.h"
 #include "hash/hash.h"
-#include "hash/hashed_batch.h"
 #include "hash/murmur3.h"
 #include "simd/dispatch.h"
 #include "simd/internal.h"
@@ -20,9 +18,6 @@ namespace {
 using simd::internal::CmBlockCol;
 using simd::internal::CsBlockSign;
 using simd::internal::kCmBlockSlots;
-
-// Same big-row gate as Count-Min's flat prefetch pass (see count_min.cc).
-constexpr size_t kPrefetchMinRowBytes = size_t{1} << 18;
 
 // Same column-count rule as blocked Count-Min: the largest power-of-two
 // per-row stripe that fits depth rows into one 8-counter block.
@@ -72,92 +67,40 @@ void CountSketch::Update(uint64_t item, int64_t weight) {
         h.high, weight);
     return;
   }
+  // Signed update in unsigned arithmetic, as CsBlockedAddOne does: at the
+  // extremes of int64 the counter wraps in two's complement instead of
+  // overflowing.
+  const uint64_t mag = static_cast<uint64_t>(weight);
   for (uint32_t row = 0; row < depth_; ++row) {
-    counters_[static_cast<size_t>(row) * width_ + Bucket(row, item)] +=
-        Sign(row, item) * weight;
+    int64_t& counter =
+        counters_[static_cast<size_t>(row) * width_ + Bucket(row, item)];
+    const uint64_t delta = Sign(row, item) > 0 ? mag : uint64_t{0} - mag;
+    counter = static_cast<int64_t>(static_cast<uint64_t>(counter) + delta);
   }
 }
 
 void CountSketch::UpdateBatch(std::span<const uint64_t> items) {
-  // Chunked rows-outer kernel. Per chunk: reduce every key into the
-  // Carter-Wegman field once (per-item Update pays that division twice per
-  // row — bucket and sign), then each row evaluates its two polynomials
-  // inline over the reduced keys, with the bucket modulo strength-reduced
-  // through a hoisted InvariantMod. Counter additions commute, so the
-  // result is byte-identical to sequential Update().
-  const simd::SimdKernels& kernels = simd::Kernels();
-  if (layout_ == SketchLayout::kBlocked) {
-    // One fused kernel pass: hash once per item, prefetch the single block,
-    // signed-update all depth_ rows inside it (nullptr weights = unit).
-    kernels.cs_blocked_add(counters_.data(), num_blocks_, depth_, cols_,
-                           seed_, items.data(), nullptr, items.size());
+  if (layout_ != SketchLayout::kBlocked) {
+    for (const uint64_t item : items) Update(item);
     return;
   }
-  const bool prefetch =
-      PrefetchEnabled() &&
-      static_cast<size_t>(width_) * sizeof(int64_t) >= kPrefetchMinRowBytes;
-  const InvariantMod mod(width_);
-  uint64_t reduced[256];
-  uint32_t buckets[256];
-  int64_t signed_weights[256];
-  while (!items.empty()) {
-    const size_t n = std::min(items.size(), std::size(reduced));
-    for (size_t i = 0; i < n; ++i) reduced[i] = KWiseHash::ReduceKey(items[i]);
-    for (uint32_t row = 0; row < depth_; ++row) {
-      const KWiseHash& bucket_hash = bucket_hashes_[row];
-      const KWiseHash& sign_hash = sign_hashes_[row];
-      int64_t* const row_ptr =
-          counters_.data() + static_cast<size_t>(row) * width_;
-      // Split the row pass: the polynomial evaluations fill plain arrays
-      // (no loop-carried state, so the compiler pipelines the Horner
-      // chains), then the scatter kernel streams the signed additions.
-      for (size_t i = 0; i < n; ++i) {
-        buckets[i] =
-            static_cast<uint32_t>(mod(bucket_hash.EvalReduced(reduced[i])));
-        signed_weights[i] = (sign_hash.EvalReduced(reduced[i]) & 1) ? 1 : -1;
-      }
-      if (prefetch) {
-        // The buckets are already materialized, so the two-phase touch is
-        // free of extra hashing: issue the target lines, then scatter.
-        for (size_t i = 0; i < n; ++i) PrefetchForWrite(row_ptr + buckets[i]);
-      }
-      kernels.cs_row_scatter(row_ptr, buckets, signed_weights, n);
-    }
-    items = items.subspan(n);
-  }
+  // One fused kernel pass: hash once per item, prefetch the single block,
+  // signed-update all depth_ rows inside it (nullptr weights = unit).
+  simd::Kernels().cs_blocked_add(counters_.data(), num_blocks_, depth_,
+                                 cols_, seed_, items.data(), nullptr,
+                                 items.size());
 }
 
 void CountSketch::UpdateBatch(std::span<const uint64_t> items,
                               std::span<const int64_t> weights) {
   GEMS_CHECK(items.size() == weights.size());
-  if (layout_ == SketchLayout::kBlocked) {
-    simd::Kernels().cs_blocked_add(counters_.data(), num_blocks_, depth_,
-                                   cols_, seed_, items.data(), weights.data(),
-                                   items.size());
+  if (layout_ != SketchLayout::kBlocked) {
+    for (size_t i = 0; i < items.size(); ++i) Update(items[i], weights[i]);
     return;
   }
-  const InvariantMod mod(width_);
-  uint64_t reduced[256];
-  size_t offset = 0;
-  while (offset < items.size()) {
-    const size_t n = std::min(items.size() - offset, std::size(reduced));
-    for (size_t i = 0; i < n; ++i) {
-      reduced[i] = KWiseHash::ReduceKey(items[offset + i]);
-    }
-    for (uint32_t row = 0; row < depth_; ++row) {
-      const KWiseHash& bucket_hash = bucket_hashes_[row];
-      const KWiseHash& sign_hash = sign_hashes_[row];
-      int64_t* const counters =
-          counters_.data() + static_cast<size_t>(row) * width_;
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t sign =
-            (sign_hash.EvalReduced(reduced[i]) & 1) ? 1 : -1;
-        counters[mod(bucket_hash.EvalReduced(reduced[i]))] +=
-            sign * weights[offset + i];
-      }
-    }
-    offset += n;
-  }
+  simd::Kernels().cs_blocked_add(counters_.data(), num_blocks_, depth_, cols_,
+                                 seed_, items.data(), weights.data(),
+                                 items.size());
 }
 
 int64_t CountSketch::Estimate(uint64_t item) const {
@@ -268,6 +211,16 @@ Status CountSketch::MergeFromView(const View<CountSketch>& view) {
       return Status::Corruption("invalid CountSketch layout byte");
     }
     wire_layout = static_cast<SketchLayout>(layout_byte);
+  }
+  if (wire_layout == SketchLayout::kBlocked) {
+    // A peer no blocked sketch could have written is corrupt, whatever our
+    // own shape: Deserialize rejects it before Merge's compatibility check.
+    if (depth > static_cast<uint32_t>(kCmBlockSlots)) {
+      return Status::Corruption("CountSketch blocked depth exceeds block");
+    }
+    if (width % BlockColsFor(depth) != 0) {
+      return Status::Corruption("CountSketch blocked width not block-aligned");
+    }
   }
   if (width != width_ || depth != depth_ || seed != seed_ ||
       wire_layout != layout_) {

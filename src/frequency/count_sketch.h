@@ -47,16 +47,19 @@ class CountSketch {
   CountSketch(CountSketch&&) = default;
   CountSketch& operator=(CountSketch&&) = default;
 
-  /// Adds `weight` (may be negative) to the item's count.
+  /// Adds `weight` (may be negative) to the item's count. Counters wrap in
+  /// two's complement at the int64 extremes.
   void Update(uint64_t item, int64_t weight = 1);
 
-  /// Batched ingest of unit-weight items, rows outer: each row's hash
-  /// functions and counter base are hoisted out of the item loop. Signed
-  /// additions commute, so state is byte-identical to per-item Update().
+  /// Batched ingest of unit-weight items. A blocked sketch runs one fused
+  /// hash + probe kernel pass (the layout's ingest win); a flat sketch
+  /// runs the per-item Update loop, its fastest measured path (DESIGN.md,
+  /// batch-ingest table). Signed additions commute, so state is
+  /// byte-identical to per-item Update() either way.
   void UpdateBatch(std::span<const uint64_t> items);
 
   /// Weighted batched ingest; `weights` must parallel `items` (weights may
-  /// be negative — turnstile semantics).
+  /// be negative — turnstile semantics). Same layout split as above.
   void UpdateBatch(std::span<const uint64_t> items,
                    std::span<const int64_t> weights);
 

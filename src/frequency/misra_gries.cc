@@ -45,34 +45,6 @@ void MisraGries::Update(uint64_t item, int64_t weight) {
   }
 }
 
-void MisraGries::UpdateBatch(std::span<const uint64_t> items) {
-  // A run of equal items collapses into one weighted update only when the
-  // update cannot trigger a decrement-all step: tracked items just add,
-  // and an untracked item with a free slot just inserts — both identical
-  // to replaying the run one at a time. The decrement-all step is
-  // order-dependent (Update(item, run) subtracts min(run, min counter)
-  // once; per-item ingest runs up to `run` separate steps), so an
-  // untracked item hitting a full table replays item-by-item instead.
-  size_t i = 0;
-  while (i < items.size()) {
-    const uint64_t item = items[i];
-    size_t j = i + 1;
-    while (j < items.size() && items[j] == item) ++j;
-    const int64_t run = static_cast<int64_t>(j - i);
-    const auto it = counters_.find(item);
-    if (it != counters_.end()) {
-      it->second += run;
-      total_ += run;
-    } else if (counters_.size() < num_counters_) {
-      counters_.emplace(item, run);
-      total_ += run;
-    } else {
-      for (size_t t = i; t < j; ++t) Update(items[t]);
-    }
-    i = j;
-  }
-}
-
 int64_t MisraGries::Estimate(uint64_t item) const {
   const auto it = counters_.find(item);
   return it == counters_.end() ? 0 : it->second;

@@ -33,12 +33,6 @@ class MisraGries {
   /// Adds `weight` (>= 1) occurrences of `item`.
   void Update(uint64_t item, int64_t weight = 1);
 
-  /// Batched ingest. Coalesces runs of equal items into one weighted
-  /// update when that is provably order-independent (item tracked, or a
-  /// counter slot free) and replays item-by-item otherwise, so the summary
-  /// is byte-identical to a per-item Update() loop.
-  void UpdateBatch(std::span<const uint64_t> items);
-
   /// Lower-bound estimate of the item's count (0 if not tracked).
   /// True count is in [estimate, estimate + error_bound()].
   int64_t Estimate(uint64_t item) const;

@@ -55,31 +55,6 @@ void SpaceSaving::Update(uint64_t item, int64_t weight) {
   slots_[weakest] = Slot{item, min_count + weight, min_count};
 }
 
-void SpaceSaving::UpdateBatch(std::span<const uint64_t> items) {
-  size_t i = 0;
-  while (i < items.size()) {
-    const uint64_t item = items[i];
-    size_t j = i + 1;
-    while (j < items.size() && items[j] == item) ++j;
-    Update(item, static_cast<int64_t>(j - i));
-    i = j;
-  }
-}
-
-void SpaceSaving::UpdateBatch(std::span<const uint64_t> items,
-                              std::span<const int64_t> weights) {
-  GEMS_CHECK(items.size() == weights.size());
-  size_t i = 0;
-  while (i < items.size()) {
-    const uint64_t item = items[i];
-    int64_t weight = weights[i];
-    size_t j = i + 1;
-    while (j < items.size() && items[j] == item) weight += weights[j++];
-    Update(item, weight);
-    i = j;
-  }
-}
-
 int64_t SpaceSaving::Estimate(uint64_t item) const {
   const size_t i = FindSlot(item);
   if (i < slots_.size()) return slots_[i].count;

@@ -54,18 +54,6 @@ class SpaceSaving {
   /// (e.g. one restored from a checkpoint, one that kept running).
   void Update(uint64_t item, int64_t weight = 1);
 
-  /// Batched ingest: coalesces runs of equal adjacent items into one
-  /// weighted update, so hot items on skewed streams pay one slot scan per
-  /// run instead of one per occurrence. State is byte-identical to
-  /// per-item Update() (a weight-r update is equivalent to r unit updates
-  /// in every tracked/untracked/eviction case).
-  void UpdateBatch(std::span<const uint64_t> items);
-
-  /// Weighted batched ingest; `weights` must parallel `items` and every
-  /// weight must be >= 1. Runs of equal adjacent items are coalesced.
-  void UpdateBatch(std::span<const uint64_t> items,
-                   std::span<const int64_t> weights);
-
   /// Overestimate of the item's count; untracked items get the current
   /// minimum count (the correct upper bound for them).
   int64_t Estimate(uint64_t item) const;

@@ -44,20 +44,6 @@ void KllSketch::Update(double value) {
   if (compactors_[0].size() >= level0_capacity_) CompressIfNeeded();
 }
 
-void KllSketch::UpdateBatch(std::span<const double> values) {
-  while (!values.empty()) {
-    // Re-acquire level 0 each round: CompressIfNeeded may reallocate the
-    // compactor stack.
-    std::vector<double>& level0 = compactors_[0];
-    const size_t room = level0_capacity_ - level0.size();
-    const size_t n = std::min(values.size(), room);
-    level0.insert(level0.end(), values.begin(), values.begin() + n);
-    count_ += n;
-    if (level0.size() >= level0_capacity_) CompressIfNeeded();
-    values = values.subspan(n);
-  }
-}
-
 void KllSketch::CompressIfNeeded() {
   for (size_t level = 0; level < compactors_.size(); ++level) {
     if (compactors_[level].size() < CapacityAt(static_cast<int>(level))) {

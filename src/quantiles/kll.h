@@ -41,12 +41,6 @@ class KllSketch {
   /// Inserts a value.
   void Update(double value);
 
-  /// Batched ingest: bulk-appends to the level-0 compactor up to its
-  /// capacity, compresses, and repeats. Consumes the same coin flips in
-  /// the same order as per-item Update(), so state (including the Rng) is
-  /// byte-identical to sequential ingest.
-  void UpdateBatch(std::span<const double> values);
-
   /// Approximate value at quantile q in [0, 1]; requires >= 1 update.
   double Quantile(double q) const;
 

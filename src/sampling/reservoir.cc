@@ -25,20 +25,6 @@ void ReservoirSampler::Update(uint64_t item) {
   if (j < k_) sample_[j] = item;
 }
 
-void ReservoirSampler::UpdateBatch(std::span<const uint64_t> items) {
-  size_t i = 0;
-  const size_t room = k_ > sample_.size() ? k_ - sample_.size() : 0;
-  const size_t fill = std::min(items.size(), room);
-  sample_.insert(sample_.end(), items.begin(), items.begin() + fill);
-  seen_ += fill;
-  i = fill;
-  for (; i < items.size(); ++i) {
-    ++seen_;
-    const uint64_t j = rng_.NextBounded(seen_);
-    if (j < k_) sample_[j] = items[i];
-  }
-}
-
 Status ReservoirSampler::Merge(const ReservoirSampler& other) {
   if (k_ != other.k_) {
     return Status::InvalidArgument("Reservoir merge requires equal k");

@@ -36,12 +36,6 @@ class ReservoirSampler {
   /// Offers one stream item to the reservoir.
   void Update(uint64_t item);
 
-  /// Batched ingest: bulk-copies the fill phase (no coin flips are drawn
-  /// while the reservoir has room, matching Update()), then runs the
-  /// Algorithm R replacement loop. State including the Rng is
-  /// byte-identical to per-item Update().
-  void UpdateBatch(std::span<const uint64_t> items);
-
   /// The current sample (size min(k, items seen)).
   const std::vector<uint64_t>& Sample() const { return sample_; }
 

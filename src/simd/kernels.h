@@ -95,11 +95,6 @@ struct SimdKernels {
   void (*cm_row_min)(const uint64_t* row, uint64_t width,
                      const uint64_t* hashes, size_t n, uint64_t* out);
 
-  /// CountSketch signed row update over precomputed buckets:
-  /// row[buckets[i]] += signed_weights[i].
-  void (*cs_row_scatter)(int64_t* row, const uint32_t* buckets,
-                         const int64_t* signed_weights, size_t n);
-
   /// Σ (double)v[i] * (double)v[i] with the stripe-4 contract above
   /// (CountSketch/AMS F2 row evaluation feeding the median).
   double (*i64_sum_squares)(const int64_t* values, size_t n);

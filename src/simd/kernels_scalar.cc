@@ -113,18 +113,6 @@ void CmRowMin(const uint64_t* row, uint64_t width, const uint64_t* hashes,
   }
 }
 
-void CsRowScatter(int64_t* row, const uint32_t* buckets,
-                  const int64_t* signed_weights, size_t n) {
-  // Unsigned wrapping add: counters near INT64_MAX must wrap in two's
-  // complement like the vector kernels' hardware adds do, not hit signed-
-  // overflow UB.
-  for (size_t i = 0; i < n; ++i) {
-    row[buckets[i]] =
-        static_cast<int64_t>(static_cast<uint64_t>(row[buckets[i]]) +
-                             static_cast<uint64_t>(signed_weights[i]));
-  }
-}
-
 using internal::CmBlockedAddOne;
 using internal::CmBlockedMinOne;
 using internal::CsBlockedAddOne;
@@ -336,8 +324,9 @@ void U64Add(uint64_t* dst, const uint64_t* src, size_t n) {
 }
 
 void I64Add(int64_t* dst, const int64_t* src, size_t n) {
-  // Unsigned wrapping add for the same reason as CsRowScatter: merging two
-  // near-saturated counters must wrap like the vector variants, not be UB.
+  // Unsigned wrapping add: merging two near-saturated counters must wrap
+  // in two's complement like the vector variants' hardware adds, not hit
+  // signed-overflow UB.
   for (size_t i = 0; i < n; ++i) {
     dst[i] = static_cast<int64_t>(static_cast<uint64_t>(dst[i]) +
                                   static_cast<uint64_t>(src[i]));
@@ -359,7 +348,6 @@ const SimdKernels& ScalarKernels() {
       .cm_row_add = &CmRowAdd,
       .cm_row_add_weighted = &CmRowAddWeighted,
       .cm_row_min = &CmRowMin,
-      .cs_row_scatter = &CsRowScatter,
       .i64_sum_squares = &I64SumSquares,
       .cm_blocked_add = &CmBlockedAdd,
       .cm_blocked_add_weighted = &CmBlockedAddWeighted,

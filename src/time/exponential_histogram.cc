@@ -29,10 +29,6 @@ void ExponentialHistogram::Add(uint64_t timestamp) {
   Canonicalize();
 }
 
-void ExponentialHistogram::UpdateBatch(std::span<const uint64_t> timestamps) {
-  for (const uint64_t timestamp : timestamps) Add(timestamp);
-}
-
 void ExponentialHistogram::Advance(uint64_t now) {
   if (now < last_timestamp_) return;  // Late timestamps clamp.
   last_timestamp_ = now;

@@ -43,18 +43,9 @@ class ExponentialHistogram {
   /// is the update shape the registry's type-erased path uses.
   void Update(uint64_t timestamp) { Add(timestamp); }
 
-  /// Batched ingest; identical to calling Add() per timestamp, in order.
-  void UpdateBatch(std::span<const uint64_t> timestamps);
-
   /// Timed-update shape: records one event at `timestamp`. The item
   /// payload is irrelevant to a pure event counter and is ignored.
   void UpdateAt(uint64_t timestamp, uint64_t /*item*/) { Add(timestamp); }
-
-  /// Batched timed ingest: one event per timestamp; items are ignored.
-  void UpdateBatchTimed(std::span<const uint64_t> timestamps,
-                        std::span<const uint64_t> /*items*/) {
-    UpdateBatch(timestamps);
-  }
 
   /// Advances the window clock without recording an event, expiring
   /// buckets that have left the window. Late `now` clamps.

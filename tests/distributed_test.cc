@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -263,12 +264,6 @@ TEST(ConcurrentSummaryTest, OptionsResolveSlotsAndThresholds) {
       ConcurrentSummary<HyperLogLog>(prototype, {.max_threads = 100000})
           .max_threads(),
       ConcurrentSummary<HyperLogLog>::kMaxSlots);
-  // Derived thresholds: propagate defaults to the buffer size, the hard
-  // pending cap to 8x propagate.
-  const ConcurrentSummary<HyperLogLog> derived(prototype,
-                                               {.buffer_items = 512});
-  EXPECT_EQ(derived.options().propagate_items, 512u);
-  EXPECT_EQ(derived.options().max_pending_items, 8 * 512u);
 }
 
 TEST(ConcurrentSummaryTest, BatchDrainMatchesPerItem) {
@@ -425,6 +420,8 @@ TEST(ConcurrentSummaryTest, QuiescedSnapshotBytesMatchSequentialCountMin) {
 TEST(ConcurrentSummaryTest, ValueSummariesBufferDoubles) {
   // KLL exercises the double-buffered value path (Update(double),
   // UpdateBatch(span<const double>)); every value must be counted.
+  static_assert(
+      std::same_as<ConcurrentSummary<KllSketch>::BufferItem, double>);
   ConcurrentSummary<KllSketch> concurrent(KllSketch(200, 29));
   std::vector<double> values;
   for (int i = 0; i < 10000; ++i) values.push_back(static_cast<double>(i));
@@ -434,6 +431,20 @@ TEST(ConcurrentSummaryTest, ValueSummariesBufferDoubles) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot.value().Count(), 20000u);
   EXPECT_NEAR(snapshot.value().Quantile(0.5), 5000.0, 500.0);
+
+  // Non-integral values must arrive unrounded through both paths. 100
+  // values stay under the level-0 capacity, so no compaction drops any.
+  ConcurrentSummary<KllSketch> fractional(KllSketch(200, 31));
+  std::vector<double> halves;
+  for (int i = 0; i < 50; ++i) halves.push_back(i + 0.5);
+  for (double v : halves) fractional.Update(v);
+  fractional.UpdateBatch(std::span<const double>(halves));
+  auto exact = fractional.Snapshot();
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact.value().Count(), 100u);
+  EXPECT_EQ(exact.value().Rank(0.4), 0u);
+  EXPECT_EQ(exact.value().Rank(0.5), 2u);
+  EXPECT_EQ(exact.value().Rank(49.4), 98u);
 }
 
 // A copy-on-write summary whose payloads count themselves, to observe how
@@ -904,8 +915,8 @@ TEST(ShardedPipelineTest, PinnedWorkersMatchUnpinnedByteForByte) {
 }
 
 TEST(ShardedPipelineTest, PinOffsetAndBackpressureStillExact) {
-  // A nonzero pin offset wraps modulo the hardware concurrency; combined
-  // with tiny rings (backpressure path) the result must stay exact.
+  // Pinned workers combined with tiny rings (backpressure path): the
+  // result must stay exact.
   const auto items = ZipfGenerator(50000, 1.2, 55).Take(120000);
   CountMinSketch sequential(1024, 4, 56);
   sequential.UpdateBatch(items);
@@ -913,8 +924,7 @@ TEST(ShardedPipelineTest, PinOffsetAndBackpressureStillExact) {
                                            {.num_workers = 3,
                                             .ring_capacity = 2,
                                             .chunk_items = 64,
-                                            .pin_workers = true,
-                                            .pin_offset = 1});
+                                            .pin_workers = true});
   pipeline.Push(items);
   auto root = pipeline.Finish();
   ASSERT_TRUE(root.ok());

@@ -1,12 +1,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/layout.h"
 #include "core/summary.h"
+#include "core/wire.h"
 #include "frequency/count_min.h"
 #include "frequency/count_sketch.h"
 #include "frequency/dyadic_count_min.h"
@@ -458,6 +462,35 @@ TEST(CountSketchTest, SupportsNegativeUpdatesExactCancellation) {
   cs.Update(7, 100);
   cs.Update(7, -100);
   EXPECT_EQ(cs.Estimate(7), 0);
+}
+
+TEST(CountSketchTest, ExtremeWeightsWrapInBothLayouts) {
+  // Two INT64_MAX updates overflow every counter they touch: 2 * INT64_MAX
+  // wraps to -2 in a row whose sign is +1 and to 2 in a row whose sign is
+  // -1, so every row's signed estimate is -2. The adds must wrap in two's
+  // complement, never hit signed-overflow UB.
+  for (SketchLayout layout : {SketchLayout::kFlat, SketchLayout::kBlocked}) {
+    CountSketch cs(256, 5, 14, layout);
+    cs.Update(42, INT64_MAX);
+    cs.Update(42, INT64_MAX);
+    EXPECT_EQ(cs.Estimate(42), -2) << LayoutName(layout);
+    // The wire holds the logical depth x width matrix after a 16-byte
+    // shape header: each row has exactly one counter, wrapped to +/-2.
+    const std::vector<uint8_t> bytes = cs.Serialize();
+    ByteReader r(std::span<const uint8_t>(bytes).subspan(kWireHeaderSize + 16));
+    for (uint32_t row = 0; row < cs.depth(); ++row) {
+      int touched = 0;
+      for (uint32_t col = 0; col < cs.width(); ++col) {
+        int64_t counter = 0;
+        ASSERT_TRUE(r.GetI64(&counter).ok());
+        if (counter == 0) continue;
+        ++touched;
+        EXPECT_TRUE(counter == 2 || counter == -2)
+            << LayoutName(layout) << " row " << row << ": " << counter;
+      }
+      EXPECT_EQ(touched, 1) << LayoutName(layout) << " row " << row;
+    }
+  }
 }
 
 TEST(CountSketchTest, AccurateOnSkewedData) {

@@ -228,24 +228,6 @@ TEST_P(SimdParity, CmRowMin) {
   }
 }
 
-TEST_P(SimdParity, CsRowScatter) {
-  const SimdKernels& scalar = ScalarKernels();
-  const SimdKernels& active = *GetParam();
-  constexpr uint64_t kWidth = 512;
-  for (size_t n : kSizes) {
-    Rng rng(1100 + n);
-    std::vector<uint32_t> buckets(n);
-    for (uint32_t& b : buckets) {
-      b = static_cast<uint32_t>(rng.NextBounded(kWidth));
-    }
-    const std::vector<int64_t> weights = RandomI64(n, 1101 + n);
-    std::vector<int64_t> want(kWidth, 0), got(kWidth, 0);
-    scalar.cs_row_scatter(want.data(), buckets.data(), weights.data(), n);
-    active.cs_row_scatter(got.data(), buckets.data(), weights.data(), n);
-    EXPECT_EQ(want, got) << "n=" << n;
-  }
-}
-
 // Blocked-layout geometries to sweep: (depth, cols) pairs covering every
 // legal fill of the 8-slot block, with both pow2 and non-pow2 block counts
 // so the modulo path is exercised.
