@@ -7,13 +7,13 @@
 // is bit-identical; for KLL/Misra-Gries the guarantee (not the state) is
 // preserved.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_harness.h"
 #include "cardinality/hyperloglog.h"
 #include "common/numeric.h"
 #include "core/view.h"
@@ -22,16 +22,13 @@
 #include "frequency/count_min.h"
 #include "frequency/misra_gries.h"
 #include "quantiles/kll.h"
-#include "simd/dispatch.h"
 #include "workload/baselines.h"
 #include "workload/generators.h"
 
 namespace {
 
-double Seconds(const std::chrono::steady_clock::time_point t0,
-               const std::chrono::steady_clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
+using gems::bench::Clock;
+using gems::bench::SecondsSince;
 
 /// Times the sequential vs the parallel merge tree over copies of the same
 /// leaves (best of `reps`), checks the roots are byte-identical, and prints
@@ -43,15 +40,13 @@ void TimeMergeTree(const char* name, const std::vector<S>& leaves,
   std::vector<uint8_t> seq_bytes, par_bytes;
   for (int r = 0; r < reps; ++r) {
     std::vector<S> copy = leaves;
-    auto t0 = std::chrono::steady_clock::now();
+    Clock::time_point start = Clock::now();
     auto seq_root = gems::AggregateTree(std::move(copy), 2, nullptr);
-    auto t1 = std::chrono::steady_clock::now();
-    seq_best = std::min(seq_best, Seconds(t0, t1));
+    seq_best = std::min(seq_best, SecondsSince(start));
     copy = leaves;
-    t0 = std::chrono::steady_clock::now();
+    start = Clock::now();
     auto par_root = gems::ParallelAggregateTree(std::move(copy), 2, pool);
-    t1 = std::chrono::steady_clock::now();
-    par_best = std::min(par_best, Seconds(t0, t1));
+    par_best = std::min(par_best, SecondsSince(start));
     if (r == 0) {
       seq_bytes = seq_root.value().Serialize();
       par_bytes = par_root.value().Serialize();
@@ -107,40 +102,37 @@ FaninTiming TimeViewMergeFanin(int fanin, uint8_t precision, int reps) {
   std::vector<uint8_t> deser_root, view_root, trusted_root;
   for (int r = 0; r < reps; ++r) {
     // Baseline: materialize every envelope, then merge the sketches.
-    auto t0 = std::chrono::steady_clock::now();
+    Clock::time_point start = Clock::now();
     auto acc = gems::HyperLogLog::Deserialize(envelopes[0]);
     for (int s = 1; s < fanin; ++s) {
       auto leaf = gems::HyperLogLog::Deserialize(envelopes[s]);
       (void)acc.value().Merge(leaf.value());
     }
-    auto t1 = std::chrono::steady_clock::now();
     out.deserialize_merge_ms =
-        std::min(out.deserialize_merge_ms, Seconds(t0, t1) * 1e3);
+        std::min(out.deserialize_merge_ms, SecondsSince(start) * 1e3);
     if (r == 0) deser_root = acc.value().Serialize();
 
     // View path: materialize only the first envelope; fold the rest in
     // from borrowed payload bytes, fully validated.
-    t0 = std::chrono::steady_clock::now();
+    start = Clock::now();
     auto acc2 = gems::HyperLogLog::Deserialize(envelopes[0]);
     for (int s = 1; s < fanin; ++s) {
       auto view = gems::View<gems::HyperLogLog>::Wrap(envelopes[s]);
       (void)acc2.value().MergeFromView(view.value());
     }
-    t1 = std::chrono::steady_clock::now();
-    out.view_merge_ms = std::min(out.view_merge_ms, Seconds(t0, t1) * 1e3);
+    out.view_merge_ms = std::min(out.view_merge_ms, SecondsSince(start) * 1e3);
     if (r == 0) view_root = acc2.value().Serialize();
 
     // Trusted view path: the envelopes were serialized by this process a
     // moment ago, so skip the per-envelope checksum pass.
-    t0 = std::chrono::steady_clock::now();
+    start = Clock::now();
     auto acc3 = gems::HyperLogLog::Deserialize(envelopes[0]);
     for (int s = 1; s < fanin; ++s) {
       auto view = gems::View<gems::HyperLogLog>::WrapTrusted(envelopes[s]);
       (void)acc3.value().MergeFromView(view.value());
     }
-    t1 = std::chrono::steady_clock::now();
     out.trusted_view_merge_ms =
-        std::min(out.trusted_view_merge_ms, Seconds(t0, t1) * 1e3);
+        std::min(out.trusted_view_merge_ms, SecondsSince(start) * 1e3);
     if (r == 0) trusted_root = acc3.value().Serialize();
   }
   out.roots_identical = deser_root == view_root && deser_root == trusted_root;
@@ -161,52 +153,29 @@ void PrintFaninTiming(const FaninTiming& t) {
 int RunFaninJson(const std::string& json_path, int fanin) {
   const FaninTiming t = TimeViewMergeFanin(fanin, 12, 5);
   PrintFaninTiming(t);
-  char buf[768];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"bench\": \"e06_view_merge_fanin\",\n"
-                "  \"dispatch\": %s,\n"
-                "  \"family\": \"hll\",\n"
-                "  \"precision\": %d,\n"
-                "  \"fanin\": %d,\n"
-                "  \"deserialize_merge_ms\": %.6f,\n"
-                "  \"view_merge_ms\": %.6f,\n"
-                "  \"trusted_view_merge_ms\": %.6f,\n"
-                "  \"speedup_verified\": %.4f,\n"
-                "  \"speedup\": %.4f,\n"
-                "  \"roots_identical\": %s\n"
-                "}\n",
-                gems::simd::DispatchJson().c_str(), t.precision, t.fanin,
-                t.deserialize_merge_ms, t.view_merge_ms,
-                t.trusted_view_merge_ms, t.speedup_verified(), t.speedup(),
-                t.roots_identical ? "true" : "false");
-  std::fputs(buf, stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(buf, 1, std::strlen(buf), f);
-  std::fclose(f);
-  return t.roots_identical ? 0 : 1;
+  const gems::bench::Json body =
+      gems::bench::Json::Object()
+          .Set("family", "hll")
+          .Set("precision", t.precision)
+          .Set("fanin", t.fanin)
+          .Set("deserialize_merge_ms", t.deserialize_merge_ms)
+          .Set("view_merge_ms", t.view_merge_ms)
+          .Set("trusted_view_merge_ms", t.trusted_view_merge_ms)
+          .Set("speedup_verified", t.speedup_verified())
+          .Set("speedup", t.speedup())
+          .Set("roots_identical", t.roots_identical);
+  const bool written =
+      gems::bench::WriteReport("e06_view_merge_fanin", json_path, body);
+  return written && t.roots_identical ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  int fanin = 1024;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--e06_json=", 0) == 0) {
-      json_path = arg.substr(std::strlen("--e06_json="));
-    } else if (arg.rfind("--e06_fanin=", 0) == 0) {
-      fanin = std::stoi(arg.substr(std::strlen("--e06_fanin=")));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  gems::bench::Flags flags(argc, argv);
+  const std::string json_path = flags.String("e06_json");
+  const int fanin = static_cast<int>(flags.U64("e06_fanin", 1024));
+  if (!flags.NoneUnclaimed("e06")) return 2;
   if (!json_path.empty()) return RunFaninJson(json_path, fanin);
 
   constexpr int kShards = 256;

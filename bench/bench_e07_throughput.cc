@@ -5,28 +5,27 @@
 // sketches sustain tens of millions of updates per second per core, which
 // is what made them deployable inside stream engines and warehouses.
 //
-// Three modes:
+// Modes:
 //   bench_e07_throughput [gbench flags]      # the usual google-benchmark run
-//   bench_e07_throughput --e07_json=out.json [--e07_items=N]
-//     # deterministic batched-vs-per-item comparison; writes one JSON
-//     # document with per-sketch ops/sec and speedup, prints it to stdout.
+//   bench_e07_throughput --e07_simd_json=out.json [--e07_simd_items=N]
+//     # per-item vs batched ingest, with the batched side timed twice in
+//     # one process: once with the dispatcher pinned to the scalar
+//     # reference table and once with the startup selection. One row per
+//     # sketch (HLL, HLL++, KMV, Count-Min, CountSketch, Bloom, blocked
+//     # Bloom, MinHash) separates the batching win from the SIMD kernels'
+//     # own contribution. A `kernels` array adds one row per SimdKernels
+//     # entry, each called directly at a size the repo uses.
 //   bench_e07_throughput --e07_scaling_json=out.json [--e07_scaling_items=N]
 //     # thread-scaling harness: single-thread batched ingest vs the
 //     # ShardedPipeline at 2/4/8 workers for HLL, Count-Min, Bloom, KLL;
 //     # one JSON row per (sketch, worker count).
-//   bench_e07_throughput --e07_simd_json=out.json [--e07_simd_items=N]
-//     # scalar-vs-dispatched kernel comparison: the same batched ingest
-//     # timed twice in one process, once with the dispatcher pinned to the
-//     # scalar reference table and once with the startup selection. The
-//     # ratio isolates the SIMD kernel layer's contribution (both sides
-//     # use the identical batch path). A `kernels` array adds one row per
-//     # SimdKernels entry, each called directly at a size the repo uses.
 //   bench_e07_throughput --e07_layout_json=out.json [--e07_layout_items=N]
 //     # flat-vs-blocked counter-layout comparison for Count-Min and
 //     # CountSketch at LLC-busting widths: same zipf stream through both
-//     # layouts' batched ingest, plus a serialize->restore round trip of
-//     # the blocked sketch through the flat wire format (byte-identical
-//     # re-serialize + equal estimates). CI gates the countmin speedup.
+//     # layouts' batched ingest in interleaved timed runs, plus a
+//     # serialize->restore round trip of the blocked sketch through the
+//     # flat wire format (byte-identical re-serialize + equal estimates).
+//     # CI gates the countmin speedup.
 //   bench_e07_throughput --e07_concurrent_json=out.json
 //                        [--e07_concurrent_items=N]
 //     # concurrent-summary harness: (A) fixed-work writer ingest at
@@ -38,19 +37,14 @@
 //     # wall time and thread CPU time; the CPU-time ratio is what CI gates,
 //     # so an oversubscribed runner can't fake a reader stall.
 //
-// Every JSON document embeds a "dispatch" object (level, cpu_features,
-// forced_scalar) and a "layout" object (prefetch enablement, hugepage
-// grant counters) so artifacts are attributable to the hardware and
-// memory-placement configuration they ran on.
+// Every JSON document is written by bench_harness.h and so carries the
+// shared provenance (dispatch level, memory layout, CPU, build type).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <ctime>
 #include <mutex>
 #include <optional>
@@ -60,11 +54,11 @@
 #include <thread>
 #include <vector>
 
+#include "bench_harness.h"
 #include "cardinality/hllpp.h"
 #include "cardinality/hyperloglog.h"
-#include "common/hugepage.h"
-#include "common/layout.h"
 #include "cardinality/kmv.h"
+#include "common/layout.h"
 #include "distributed/concurrent/concurrent_summary.h"
 #include "distributed/sharded_pipeline.h"
 #include "frequency/count_min.h"
@@ -341,148 +335,47 @@ void BM_HyperLogLogSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_HyperLogLogSerialize);
 
-// ------------------- batched vs per-item JSON comparison -------------------
+// ------------------------- JSON comparison modes -------------------------
 //
-// A deterministic chrono harness (no google-benchmark adaptivity) so CI can
-// assert on the output: for each hot sketch, ingest the same stream once
-// per item and once through the batch fast path, best of `kReps` runs.
+// Deterministic chrono harnesses (no google-benchmark adaptivity) so CI can
+// assert on the output. Every mode feeds its sketches in kChunk-item
+// IngestBatch calls and takes the best of kReps runs.
 
 constexpr int kReps = 3;
 constexpr size_t kChunk = 4096;
 
-template <typename Fn>
-double BestSeconds(Fn&& fn) {
-  double best = 1e100;
-  for (int r = 0; r < kReps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+using gems::bench::BestSeconds;
+using gems::bench::Json;
+
+// Per-item ingest: `Insert` for membership filters, `Update` otherwise.
+template <typename S>
+void IngestOne(S& sketch, uint64_t item) {
+  if constexpr (gems::InsertableSummary<S> && !gems::ItemSummary<S>) {
+    sketch.Insert(item);
+  } else {
+    sketch.Update(item);
   }
-  return best;
 }
 
-struct Comparison {
-  const char* sketch;
-  double per_item_mops;
-  double batched_mops;
-  double speedup;
-};
-
-// Times `make()` sketches fed the whole stream per-item vs in kChunk-item
-// batches; a fresh sketch per repetition so both sides see identical state.
-template <typename Make, typename PerItem, typename Batch>
-Comparison Compare(const char* name, const std::vector<uint64_t>& items,
-                   Make make, PerItem per_item, Batch batch) {
-  const double seq = BestSeconds([&] {
-    auto sketch = make();
-    for (uint64_t item : items) per_item(sketch, item);
-    benchmark::DoNotOptimize(sketch);
-  });
-  const double bat = BestSeconds([&] {
-    auto sketch = make();
-    std::span<const uint64_t> span(items);
-    for (size_t off = 0; off < span.size(); off += kChunk) {
-      batch(sketch, span.subspan(off, std::min(kChunk, span.size() - off)));
-    }
-    benchmark::DoNotOptimize(sketch);
-  });
-  const double n = static_cast<double>(items.size());
-  return Comparison{name, n / seq / 1e6, n / bat / 1e6, seq / bat};
-}
-
-int RunBatchedComparison(const std::string& json_path, size_t num_items) {
-  // Per-family representative workloads: cardinality/membership sketches
-  // see the distinct-heavy keys of a bulk load (their hard case), while
-  // frequency sketches see the skewed stream they exist to summarize.
-  const std::vector<uint64_t> items = gems::DistinctItems(num_items, 42);
-  const std::vector<uint64_t> zipf =
-      gems::ZipfGenerator(1 << 20, 1.1, 42).Take(num_items);
-  std::vector<Comparison> results;
-
-  results.push_back(Compare(
-      "hyperloglog", items, [] { return gems::HyperLogLog(12, 1); },
-      [](gems::HyperLogLog& s, uint64_t x) { s.Update(x); },
-      [](gems::HyperLogLog& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  results.push_back(Compare(
-      "hllpp", items, [] { return gems::HllPlusPlus(12, 1); },
-      [](gems::HllPlusPlus& s, uint64_t x) { s.Update(x); },
-      [](gems::HllPlusPlus& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  results.push_back(Compare(
-      "kmv", items, [] { return gems::KmvSketch(1024, 1); },
-      [](gems::KmvSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::KmvSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  results.push_back(Compare(
-      "countmin", zipf, [] { return gems::CountMinSketch(4096, 4, 1); },
-      [](gems::CountMinSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::CountMinSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  results.push_back(Compare(
-      "countsketch", zipf,
-      [] {
-        return gems::CountSketch(4096, 5, 1, gems::SketchLayout::kBlocked);
-      },
-      [](gems::CountSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::CountSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  results.push_back(Compare(
-      "bloom", items, [] { return gems::BloomFilter(1 << 23, 7, 1); },
-      [](gems::BloomFilter& s, uint64_t x) { s.Insert(x); },
-      [](gems::BloomFilter& s, std::span<const uint64_t> b) {
-        s.InsertBatch(b);
-      }));
-  results.push_back(Compare(
-      "blocked_bloom", items,
-      [] { return gems::BlockedBloomFilter(1 << 23, 8, 1); },
-      [](gems::BlockedBloomFilter& s, uint64_t x) { s.Insert(x); },
-      [](gems::BlockedBloomFilter& s, std::span<const uint64_t> b) {
-        s.InsertBatch(b);
-      }));
-
-  std::string json = "{\n  \"bench\": \"e07_batched_vs_per_item\",\n";
-  json += "  \"items\": " + std::to_string(num_items) + ",\n";
-  json += "  \"chunk\": " + std::to_string(kChunk) + ",\n";
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + ",\n";
-  json += "  \"layout\": " + gems::LayoutJson() + ",\n";
-  json += "  \"results\": [\n";
-  char line[256];
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Comparison& c = results[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"sketch\": \"%s\", \"per_item_mops\": %.2f, "
-                  "\"batched_mops\": %.2f, \"speedup\": %.2f}%s\n",
-                  c.sketch, c.per_item_mops, c.batched_mops, c.speedup,
-                  i + 1 < results.size() ? "," : "");
-    json += line;
+// Feeds `items` to `sketch` in kChunk-item IngestBatch calls.
+template <typename S>
+void IngestChunked(S& sketch, std::span<const gems::IngestItem<S>> items) {
+  for (size_t off = 0; off < items.size(); off += kChunk) {
+    gems::IngestBatch(sketch,
+                      items.subspan(off, std::min(kChunk, items.size() - off)));
   }
-  json += "  ]\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 ? 0 : 1;
+  benchmark::DoNotOptimize(sketch);
 }
 
 // ----------------- scalar-vs-dispatched kernel comparison -----------------
 //
 // Three configurations per sketch, which separate the two claims bundled
-// into "batched ingest is faster": (1) per_item — the scalar Update() loop
-// a caller without batching writes; (2) batched_scalar — UpdateBatch with
-// the kernel table pinned to the scalar reference (the batching win alone:
-// hash hoisting, modulo strength reduction, loop structure); (3)
-// batched_simd — UpdateBatch under the startup dispatch choice.
+// into "batched ingest is faster": (1) per_item — the Update()/Insert()
+// loop a caller without batching writes (it calls no SimdKernels entry, so
+// the dispatch level does not move it); (2) batched_scalar — IngestBatch
+// with the kernel table pinned to the scalar reference (the batching win
+// alone: hash hoisting, modulo strength reduction, loop structure); (3)
+// batched_simd — IngestBatch under the startup dispatch choice.
 // `simd_speedup` is (3)/(2), the vector kernels' own contribution;
 // `batched_ingest_speedup` is (3)/(1), the end-to-end win over scalar
 // per-item ingest — the quantity the CI bench-smoke job gates at 1.5x for
@@ -490,42 +383,30 @@ int RunBatchedComparison(const std::string& json_path, size_t num_items) {
 // outside the kernel table, and bit identity means they produce the same
 // sketch, so a speedup can never come from a wrong answer.
 
-struct SimdRow {
-  const char* sketch;
-  double per_item_mops;
-  double batched_scalar_mops;
-  double batched_simd_mops;
-  double simd_speedup;            // batched_simd / batched_scalar
-  double batched_ingest_speedup;  // batched_simd / per_item
-};
-
-template <typename Make, typename PerItem, typename Batch>
-SimdRow CompareSimd(const char* name, const std::vector<uint64_t>& items,
-                    Make make, PerItem per_item, Batch batch) {
+template <typename Make>
+Json CompareSimd(const char* name, const std::vector<uint64_t>& items,
+                    Make make) {
   const auto run_batched = [&] {
     auto sketch = make();
-    std::span<const uint64_t> span(items);
-    for (size_t off = 0; off < span.size(); off += kChunk) {
-      batch(sketch, span.subspan(off, std::min(kChunk, span.size() - off)));
-    }
-    benchmark::DoNotOptimize(sketch);
+    IngestChunked(sketch, std::span<const uint64_t>(items));
   };
   gems::simd::ForceScalarForTesting(true);
-  const double seq = BestSeconds([&] {
+  const double seq = BestSeconds(kReps, [&] {
     auto sketch = make();
-    for (uint64_t item : items) per_item(sketch, item);
+    for (uint64_t item : items) IngestOne(sketch, item);
     benchmark::DoNotOptimize(sketch);
   });
-  const double scalar = BestSeconds(run_batched);
+  const double scalar = BestSeconds(kReps, run_batched);
   gems::simd::ForceScalarForTesting(false);
-  const double dispatched = BestSeconds(run_batched);
+  const double dispatched = BestSeconds(kReps, run_batched);
   const double n = static_cast<double>(items.size());
-  return SimdRow{name,
-                 n / seq / 1e6,
-                 n / scalar / 1e6,
-                 n / dispatched / 1e6,
-                 scalar / dispatched,
-                 seq / dispatched};
+  return Json::Object()
+      .Set("sketch", name)
+      .Set("per_item_mops", n / seq / 1e6)
+      .Set("batched_scalar_mops", n / scalar / 1e6)
+      .Set("batched_simd_mops", n / dispatched / 1e6)
+      .Set("simd_speedup", scalar / dispatched)
+      .Set("batched_ingest_speedup", seq / dispatched);
 }
 
 // Per-kernel rows: every SimdKernels entry called directly on fixed inputs
@@ -533,15 +414,6 @@ SimdRow CompareSimd(const char* name, const std::vector<uint64_t>& items,
 // reference and then as dispatched. `variant` is "scalar" where the
 // dispatched table inherits the reference for that entry, so the rows show
 // which vector variants exist and what each one buys.
-
-struct KernelRow {
-  const char* kernel;
-  const char* variant;
-  size_t size;  // Items per call.
-  double scalar_ns_per_item;
-  double dispatched_ns_per_item;
-  double speedup;  // scalar / dispatched.
-};
 
 // Entries in SimdKernels after its name: the count the kernel rows must
 // match.
@@ -554,7 +426,7 @@ constexpr size_t kKernelEntries =
 constexpr size_t kKernelItemsPerRun = size_t{1} << 21;
 
 template <auto Entry, typename Call>
-KernelRow TimeKernel(const char* kernel, size_t size, Call call) {
+Json TimeKernel(const char* kernel, size_t size, Call call) {
   using gems::simd::Kernels;
   const size_t calls = std::max<size_t>(1, kKernelItemsPerRun / size);
   const auto run = [&] {
@@ -562,21 +434,22 @@ KernelRow TimeKernel(const char* kernel, size_t size, Call call) {
     for (size_t c = 0; c < calls; ++c) call(fn);
   };
   gems::simd::ForceScalarForTesting(true);
-  const double scalar = BestSeconds(run);
+  const double scalar = BestSeconds(kReps, run);
   gems::simd::ForceScalarForTesting(false);
-  const double dispatched = BestSeconds(run);
+  const double dispatched = BestSeconds(kReps, run);
   const double items = static_cast<double>(calls * size);
   const bool inherits_scalar =
       Kernels().*Entry == gems::simd::ScalarKernels().*Entry;
-  return KernelRow{kernel,
-                   inherits_scalar ? "scalar" : Kernels().name,
-                   size,
-                   scalar / items * 1e9,
-                   dispatched / items * 1e9,
-                   scalar / dispatched};
+  return Json::Object()
+      .Set("kernel", kernel)
+      .Set("variant", inherits_scalar ? "scalar" : Kernels().name)
+      .Set("size", size)
+      .Set("scalar_ns_per_item", scalar / items * 1e9)
+      .Set("dispatched_ns_per_item", dispatched / items * 1e9)
+      .Set("speedup", scalar / dispatched);
 }
 
-std::vector<KernelRow> TimeKernels() {
+Json TimeKernels() {
   using gems::simd::SimdKernels;
   // Sizes: 64k keys per hashing/ingest call; HLL precision 14 (the
   // sketch_ingest workload); Count-Min/CountSketch rows of width 4096;
@@ -621,11 +494,11 @@ std::vector<KernelRow> TimeKernels() {
   std::sort(run_a.begin(), run_a.end());
   std::sort(run_b.begin(), run_b.end());
 
-  std::vector<KernelRow> rows;
+  Json rows = Json::Array();
   // One row per entry; the row is named after the member it times.
-#define KERNEL_ROW(entry, size, ...)                          \
-  rows.push_back(TimeKernel<&SimdKernels::entry>(#entry, size, \
-                                                 [&](auto fn) { __VA_ARGS__; }))
+#define KERNEL_ROW(entry, size, ...)                    \
+  rows.Push(TimeKernel<&SimdKernels::entry>(#entry, size, \
+                                            [&](auto fn) { __VA_ARGS__; }))
   KERNEL_ROW(mix64_batch, kKeys, fn(keys.data(), kKeys, kSeed, out.data()));
   KERNEL_ROW(mix64_min, kKeys,
              benchmark::DoNotOptimize(fn(keys.data(), kKeys, kSeed)));
@@ -683,96 +556,39 @@ std::vector<KernelRow> TimeKernels() {
 }
 
 int RunSimdComparison(const std::string& json_path, size_t num_items) {
+  // Per-family representative workloads: cardinality/membership sketches
+  // see the distinct-heavy keys of a bulk load (their hard case), while
+  // frequency sketches see the skewed stream they exist to summarize.
   const std::vector<uint64_t> items = gems::DistinctItems(num_items, 42);
   const std::vector<uint64_t> zipf =
       gems::ZipfGenerator(1 << 20, 1.1, 42).Take(num_items);
-  std::vector<SimdRow> rows;
-
-  rows.push_back(CompareSimd(
-      "hyperloglog", items, [] { return gems::HyperLogLog(12, 1); },
-      [](gems::HyperLogLog& s, uint64_t x) { s.Update(x); },
-      [](gems::HyperLogLog& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  rows.push_back(CompareSimd(
-      "countmin", zipf, [] { return gems::CountMinSketch(4096, 4, 1); },
-      [](gems::CountMinSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::CountMinSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  rows.push_back(CompareSimd(
-      "countsketch", zipf,
-      [] {
-        return gems::CountSketch(4096, 5, 1, gems::SketchLayout::kBlocked);
-      },
-      [](gems::CountSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::CountSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-  rows.push_back(CompareSimd(
-      "bloom", items, [] { return gems::BloomFilter(1 << 23, 7, 1); },
-      [](gems::BloomFilter& s, uint64_t x) { s.Insert(x); },
-      [](gems::BloomFilter& s, std::span<const uint64_t> b) {
-        s.InsertBatch(b);
-      }));
-  rows.push_back(CompareSimd(
-      "blocked_bloom", items,
-      [] { return gems::BlockedBloomFilter(1 << 23, 8, 1); },
-      [](gems::BlockedBloomFilter& s, uint64_t x) { s.Insert(x); },
-      [](gems::BlockedBloomFilter& s, std::span<const uint64_t> b) {
-        s.InsertBatch(b);
-      }));
-  rows.push_back(CompareSimd(
-      "minhash", items, [] { return gems::MinHashSketch(64, 1); },
-      [](gems::MinHashSketch& s, uint64_t x) { s.Update(x); },
-      [](gems::MinHashSketch& s, std::span<const uint64_t> b) {
-        s.UpdateBatch(b);
-      }));
-
-  std::string json = "{\n  \"bench\": \"e07_simd_vs_scalar\",\n";
-  json += "  \"items\": " + std::to_string(num_items) + ",\n";
-  json += "  \"chunk\": " + std::to_string(kChunk) + ",\n";
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + ",\n";
-  json += "  \"layout\": " + gems::LayoutJson() + ",\n";
-  json += "  \"results\": [\n";
-  char line[320];
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SimdRow& row = rows[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"sketch\": \"%s\", \"per_item_mops\": %.2f, "
-                  "\"batched_scalar_mops\": %.2f, "
-                  "\"batched_simd_mops\": %.2f, \"simd_speedup\": %.2f, "
-                  "\"batched_ingest_speedup\": %.2f}%s\n",
-                  row.sketch, row.per_item_mops, row.batched_scalar_mops,
-                  row.batched_simd_mops, row.simd_speedup,
-                  row.batched_ingest_speedup, i + 1 < rows.size() ? "," : "");
-    json += line;
-  }
-  json += "  ],\n";
-  const std::vector<KernelRow> kernels = TimeKernels();
-  json += "  \"kernel_entries\": " + std::to_string(kKernelEntries) + ",\n";
-  json += "  \"kernels\": [\n";
-  for (size_t i = 0; i < kernels.size(); ++i) {
-    const KernelRow& row = kernels[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"kernel\": \"%s\", \"variant\": \"%s\", "
-                  "\"size\": %zu, \"scalar_ns_per_item\": %.4g, "
-                  "\"dispatched_ns_per_item\": %.4g, \"speedup\": %.3f}%s\n",
-                  row.kernel, row.variant, row.size, row.scalar_ns_per_item,
-                  row.dispatched_ns_per_item, row.speedup,
-                  i + 1 < kernels.size() ? "," : "");
-    json += line;
-  }
-  json += "  ]\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 ? 0 : 1;
+  Json results = Json::Array();
+  results
+      .Push(CompareSimd("hyperloglog", items,
+                        [] { return gems::HyperLogLog(12, 1); }))
+      .Push(CompareSimd("hllpp", items, [] { return gems::HllPlusPlus(12, 1); }))
+      .Push(CompareSimd("kmv", items, [] { return gems::KmvSketch(1024, 1); }))
+      .Push(CompareSimd("countmin", zipf,
+                        [] { return gems::CountMinSketch(4096, 4, 1); }))
+      .Push(CompareSimd("countsketch", zipf,
+                        [] {
+                          return gems::CountSketch(
+                              4096, 5, 1, gems::SketchLayout::kBlocked);
+                        }))
+      .Push(CompareSimd("bloom", items,
+                        [] { return gems::BloomFilter(1 << 23, 7, 1); }))
+      .Push(CompareSimd("blocked_bloom", items,
+                        [] { return gems::BlockedBloomFilter(1 << 23, 8, 1); }))
+      .Push(CompareSimd("minhash", items,
+                        [] { return gems::MinHashSketch(64, 1); }));
+  const Json body = Json::Object()
+                        .Set("items", num_items)
+                        .Set("chunk", kChunk)
+                        .Set("results", results)
+                        .Set("kernel_entries", kKernelEntries)
+                        .Set("kernels", TimeKernels());
+  return gems::bench::WriteReport("e07_simd_vs_scalar", json_path, body) ? 0
+                                                                          : 1;
 }
 
 // ----------------- flat vs blocked counter-layout harness -----------------
@@ -787,37 +603,34 @@ int RunSimdComparison(const std::string& json_path, size_t num_items) {
 // and checks byte-identical re-serialization plus equal estimates over a
 // probe sample, so the layout can never buy speed by changing answers.
 
-struct LayoutRow {
-  const char* sketch;
-  double flat_mops;
-  double blocked_mops;
-  double speedup;  // flat_seconds / blocked_seconds.
-  bool round_trip_ok;
-};
+// Flat/blocked timed-run pairs per layout row.
+constexpr int kLayoutPairs = 9;
 
 template <typename Make, typename Est>
-auto CompareLayout(const char* name, Make make,
-                   const std::vector<uint64_t>& items, Est est) -> LayoutRow {
+Json CompareLayout(const char* name, Make make,
+                   const std::vector<uint64_t>& items, Est est) {
   using S = decltype(make(gems::SketchLayout::kFlat));
-  const auto ingest = [&](S& sketch) {
-    std::span<const uint64_t> span(items);
-    for (size_t off = 0; off < span.size(); off += kChunk) {
-      sketch.UpdateBatch(
-          span.subspan(off, std::min(kChunk, span.size() - off)));
+  const std::span<const uint64_t> span(items);
+  // Interleaved pairs, alternating which layout runs first, so drift on a
+  // shared host lands on both sides. Each timed run ingests into a fresh
+  // sketch built (and its counter pages first touched) before the clock
+  // starts: the ratio is ingest alone, not ingest plus a 32 MiB zero-fill.
+  double best[2] = {1e100, 1e100};  // flat, blocked
+  for (int pair = 0; pair < kLayoutPairs; ++pair) {
+    for (int leg = 0; leg < 2; ++leg) {
+      const int side = (pair + leg) % 2;
+      S sketch = make(side == 0 ? gems::SketchLayout::kFlat
+                                : gems::SketchLayout::kBlocked);
+      const gems::bench::Clock::time_point start = gems::bench::Clock::now();
+      IngestChunked(sketch, span);
+      best[side] = std::min(best[side], gems::bench::SecondsSince(start));
     }
-    benchmark::DoNotOptimize(sketch);
-  };
-  const double flat = BestSeconds([&] {
-    S sketch = make(gems::SketchLayout::kFlat);
-    ingest(sketch);
-  });
-  const double blocked = BestSeconds([&] {
-    S sketch = make(gems::SketchLayout::kBlocked);
-    ingest(sketch);
-  });
+  }
+  const double flat = best[0];
+  const double blocked = best[1];
 
   S sketch = make(gems::SketchLayout::kBlocked);
-  ingest(sketch);
+  IngestChunked(sketch, span);
   const std::vector<uint8_t> bytes = sketch.Serialize();
   bool round_trip_ok = false;
   if (auto restored = S::Deserialize(bytes); restored.ok()) {
@@ -829,8 +642,12 @@ auto CompareLayout(const char* name, Make make,
     }
   }
   const double n = static_cast<double>(items.size());
-  return LayoutRow{name, n / flat / 1e6, n / blocked / 1e6, flat / blocked,
-                   round_trip_ok};
+  return Json::Object()
+      .Set("sketch", name)
+      .Set("flat_mops", n / flat / 1e6)
+      .Set("blocked_mops", n / blocked / 1e6)
+      .Set("speedup", flat / blocked)
+      .Set("round_trip_ok", round_trip_ok);
 }
 
 int RunLayoutComparison(const std::string& json_path, size_t num_items) {
@@ -842,8 +659,8 @@ int RunLayoutComparison(const std::string& json_path, size_t num_items) {
   const std::vector<uint64_t> zipf =
       gems::ZipfGenerator(1 << 20, 1.1, 42).Take(num_items);
 
-  std::vector<LayoutRow> rows;
-  rows.push_back(CompareLayout(
+  Json results = Json::Array();
+  results.Push(CompareLayout(
       "countmin",
       [&](gems::SketchLayout layout) {
         return gems::CountMinSketch(kWidth, kDepth, /*seed=*/1,
@@ -853,7 +670,7 @@ int RunLayoutComparison(const std::string& json_path, size_t num_items) {
       [](const gems::CountMinSketch& s, uint64_t item) {
         return s.Estimate(item);
       }));
-  rows.push_back(CompareLayout(
+  results.Push(CompareLayout(
       "countsketch",
       [&](gems::SketchLayout layout) {
         return gems::CountSketch(kWidth, kDepth, /*seed=*/1, layout);
@@ -863,36 +680,14 @@ int RunLayoutComparison(const std::string& json_path, size_t num_items) {
         return s.Estimate(item);
       }));
 
-  std::string json = "{\n  \"bench\": \"e07_layout\",\n";
-  json += "  \"items\": " + std::to_string(num_items) + ",\n";
-  json += "  \"chunk\": " + std::to_string(kChunk) + ",\n";
-  json += "  \"width\": " + std::to_string(kWidth) + ",\n";
-  json += "  \"depth\": " + std::to_string(kDepth) + ",\n";
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + ",\n";
-  json += "  \"layout\": " + gems::LayoutJson() + ",\n";
-  json += "  \"results\": [\n";
-  char line[256];
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const LayoutRow& row = rows[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"sketch\": \"%s\", \"flat_mops\": %.2f, "
-                  "\"blocked_mops\": %.2f, \"speedup\": %.2f, "
-                  "\"round_trip_ok\": %s}%s\n",
-                  row.sketch, row.flat_mops, row.blocked_mops, row.speedup,
-                  row.round_trip_ok ? "true" : "false",
-                  i + 1 < rows.size() ? "," : "");
-    json += line;
-  }
-  json += "  ]\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 ? 0 : 1;
+  const Json body = Json::Object()
+                        .Set("items", num_items)
+                        .Set("chunk", kChunk)
+                        .Set("width", kWidth)
+                        .Set("depth", kDepth)
+                        .Set("pairs", kLayoutPairs)
+                        .Set("results", results);
+  return gems::bench::WriteReport("e07_layout", json_path, body) ? 0 : 1;
 }
 
 // ------------------------- thread-scaling harness -------------------------
@@ -902,13 +697,18 @@ int RunLayoutComparison(const std::string& json_path, size_t num_items) {
 // four hot families. Workers are pinned (first-touch shard placement +
 // affinity) and the achieved pin count is part of each row's provenance.
 
-struct ScalingRow {
-  const char* sketch;
-  size_t workers;
-  size_t pinned;  // workers the OS actually let us pin (0 for the baseline).
-  double mops;
-  double speedup;  // vs this sketch's 1-worker batched baseline.
-};
+// One scaling row: `pinned_workers` counts the workers the OS actually
+// let us pin (0 for the baseline); `speedup` is over this sketch's
+// 1-worker batched baseline.
+Json ScalingRow(const char* sketch, size_t workers, size_t pinned,
+                double mops, double speedup) {
+  return Json::Object()
+      .Set("sketch", sketch)
+      .Set("workers", workers)
+      .Set("pinned_workers", pinned)
+      .Set("mops", mops)
+      .Set("speedup", speedup);
+}
 
 // Power-of-two worker counts up to the hardware concurrency, always
 // including the hardware concurrency itself (so a 12-core box reports
@@ -926,20 +726,16 @@ template <typename S>
 void ScaleSketch(
     const char* name, const S& prototype,
     const std::vector<typename gems::ShardedPipeline<S>::Item>& stream,
-    std::vector<ScalingRow>* rows) {
+    Json* rows) {
   using Item = typename gems::ShardedPipeline<S>::Item;
   const std::span<const Item> span(stream);
   const double n = static_cast<double>(stream.size());
 
-  const double base = BestSeconds([&] {
+  const double base = BestSeconds(kReps, [&] {
     S sketch = prototype;
-    for (size_t off = 0; off < span.size(); off += kChunk) {
-      gems::IngestBatch(
-          sketch, span.subspan(off, std::min(kChunk, span.size() - off)));
-    }
-    benchmark::DoNotOptimize(sketch);
+    IngestChunked(sketch, span);
   });
-  rows->push_back({name, 1, 0, n / base / 1e6, 1.0});
+  rows->Push(ScalingRow(name, 1, 0, n / base / 1e6, 1.0));
 
   for (const size_t workers : ScalingWorkerCounts()) {
     double best = 1e100;
@@ -953,14 +749,13 @@ void ScaleSketch(
                                          .chunk_items = kChunk,
                                          .pin_workers = true});
       pinned = pipeline.pinned_workers();
-      const auto t0 = std::chrono::steady_clock::now();
+      const gems::bench::Clock::time_point start = gems::bench::Clock::now();
       pipeline.Push(span);
       auto root = pipeline.Finish();
-      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, gems::bench::SecondsSince(start));
       benchmark::DoNotOptimize(root);
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
     }
-    rows->push_back({name, workers, pinned, n / best / 1e6, base / best});
+    rows->Push(ScalingRow(name, workers, pinned, n / best / 1e6, base / best));
   }
 }
 
@@ -974,42 +769,19 @@ int RunThreadScaling(const std::string& json_path, size_t num_items) {
     values.push_back(static_cast<double>(item % 1000000));
   }
 
-  std::vector<ScalingRow> rows;
+  Json rows = Json::Array();
   ScaleSketch("hyperloglog", gems::HyperLogLog(12, 1), items, &rows);
   ScaleSketch("countmin", gems::CountMinSketch(4096, 4, 1), zipf, &rows);
   ScaleSketch("bloom", gems::BloomFilter(1 << 23, 7, 1), items, &rows);
   ScaleSketch("kll", gems::KllSketch(200, 1), values, &rows);
 
-  std::string json = "{\n  \"bench\": \"e07_thread_scaling\",\n";
-  json += "  \"items\": " + std::to_string(num_items) + ",\n";
-  json += "  \"chunk\": " + std::to_string(kChunk) + ",\n";
-  json += "  \"hw_concurrency\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"pin_workers\": true,\n";
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + ",\n";
-  json += "  \"layout\": " + gems::LayoutJson() + ",\n";
-  json += "  \"results\": [\n";
-  char line[256];
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScalingRow& row = rows[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"sketch\": \"%s\", \"workers\": %zu, "
-                  "\"pinned_workers\": %zu, \"mops\": %.2f, "
-                  "\"speedup\": %.2f}%s\n",
-                  row.sketch, row.workers, row.pinned, row.mops,
-                  row.speedup, i + 1 < rows.size() ? "," : "");
-    json += line;
-  }
-  json += "  ]\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 ? 0 : 1;
+  const Json body = Json::Object()
+                        .Set("items", num_items)
+                        .Set("chunk", kChunk)
+                        .Set("pin_workers", true)
+                        .Set("results", rows);
+  return gems::bench::WriteReport("e07_thread_scaling", json_path, body) ? 0
+                                                                          : 1;
 }
 
 // ----------------- concurrent wait-free summary harness -----------------
@@ -1086,14 +858,6 @@ class StripedLockSummary {
   std::vector<Stripe> stripes_;
 };
 
-struct ConcurrentWriterRow {
-  const char* sketch;
-  size_t writers;
-  double concurrent_writer_mops;
-  double striped_writer_mops;
-  double writer_speedup;  // concurrent / striped.
-};
-
 // Fixed total work: `items` split evenly across the writers, per-item
 // Update() on both designs (the contended path the rewrite targets; both
 // keep batch entry points, which phase B's writers exercise via the drain).
@@ -1102,7 +866,7 @@ struct ConcurrentWriterRow {
 template <typename S>
 void ConcurrentWriterScale(const char* name, const S& prototype,
                            const std::vector<uint64_t>& items,
-                           std::vector<ConcurrentWriterRow>* rows) {
+                           Json* rows) {
   const double n = static_cast<double>(items.size());
   for (const size_t writers :
        {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
@@ -1120,32 +884,26 @@ void ConcurrentWriterScale(const char* name, const S& prototype,
       }
       for (std::thread& t : threads) t.join();
     };
-    const double concurrent = BestSeconds([&] {
+    const double concurrent = BestSeconds(kReps, [&] {
       gems::ConcurrentSummary<S> live(prototype);
       run_writers(live);
       auto snapshot = live.Snapshot();
       benchmark::DoNotOptimize(snapshot);
     });
-    const double striped = BestSeconds([&] {
+    const double striped = BestSeconds(kReps, [&] {
       StripedLockSummary<S> live(prototype, writers);
       run_writers(live);
       S snapshot = live.Snapshot();
       benchmark::DoNotOptimize(snapshot);
     });
-    rows->push_back({name, writers, n / concurrent / 1e6,
-                     n / striped / 1e6, striped / concurrent});
+    rows->Push(Json::Object()
+                   .Set("sketch", name)
+                   .Set("writers", writers)
+                   .Set("concurrent_writer_mops", n / concurrent / 1e6)
+                   .Set("striped_writer_mops", n / striped / 1e6)
+                   .Set("writer_speedup", striped / concurrent));
   }
 }
-
-struct ConcurrentReaderRow {
-  const char* sketch;
-  size_t writers;
-  double reader_mops;           // wall-clock queries/sec.
-  double reader_cpu_mops;       // thread-CPU-time queries/sec.
-  double reader_vs_idle;        // wall, vs this sketch's writers:0 row.
-  double reader_vs_idle_cpu;    // CPU time, vs writers:0 — the CI gate.
-  double staleness_frac_mean;   // mean (written - visible)/written, >= 0.
-};
 
 double ThreadCpuSeconds() {
   timespec ts{};
@@ -1160,12 +918,15 @@ double ThreadCpuSeconds() {
 // high bits, sequential low bits) so for HLL the exact written counter is
 // also the true cardinality and staleness is directly observable; the
 // counter only includes full 1024-item blocks, so it never runs ahead of
-// what the writer actually called Update() with.
+// what the writer actually called Update() with. Each row reports reader
+// queries/s in wall and thread CPU time, both also relative to this
+// sketch's writers:0 row (`reader_vs_idle_cpu` is the CI gate), and the
+// mean staleness (written - visible) / written.
 template <typename S, typename ReadFn>
 void ConcurrentReaderUnderLoad(const char* name, const S& prototype,
                                ReadFn read, bool track_staleness,
                                size_t reader_iters,
-                               std::vector<ConcurrentReaderRow>* rows) {
+                               Json* rows) {
   double idle_wall_mops = 0.0;
   double idle_cpu_mops = 0.0;
   for (const size_t writers :
@@ -1201,7 +962,7 @@ void ConcurrentReaderUnderLoad(const char* name, const S& prototype,
     double staleness_sum = 0.0;
     size_t staleness_samples = 0;
     for (int r = 0; r < kReps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const gems::bench::Clock::time_point start = gems::bench::Clock::now();
       const double c0 = ThreadCpuSeconds();
       double sum = 0.0;
       for (size_t i = 0; i < reader_iters; ++i) {
@@ -1220,9 +981,7 @@ void ConcurrentReaderUnderLoad(const char* name, const S& prototype,
       }
       benchmark::DoNotOptimize(sum);
       const double cpu = ThreadCpuSeconds() - c0;
-      const double wall = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+      const double wall = gems::bench::SecondsSince(start);
       best_wall = std::min(best_wall, wall);
       best_cpu = std::min(best_cpu, cpu);
     }
@@ -1236,10 +995,17 @@ void ConcurrentReaderUnderLoad(const char* name, const S& prototype,
       idle_wall_mops = wall_mops;
       idle_cpu_mops = cpu_mops;
     }
-    rows->push_back(
-        {name, writers, wall_mops, cpu_mops, wall_mops / idle_wall_mops,
-         cpu_mops / idle_cpu_mops,
-         staleness_samples > 0 ? staleness_sum / staleness_samples : 0.0});
+    rows->Push(Json::Object()
+                   .Set("sketch", name)
+                   .Set("writers", writers)
+                   .Set("reader_mops", wall_mops)
+                   .Set("reader_cpu_mops", cpu_mops)
+                   .Set("reader_vs_idle", wall_mops / idle_wall_mops)
+                   .Set("reader_vs_idle_cpu", cpu_mops / idle_cpu_mops)
+                   .Set("staleness_frac_mean",
+                        staleness_samples > 0
+                            ? staleness_sum / staleness_samples
+                            : 0.0));
   }
 }
 
@@ -1248,13 +1014,13 @@ int RunConcurrentBench(const std::string& json_path, size_t num_items) {
   const std::vector<uint64_t> zipf =
       gems::ZipfGenerator(1 << 20, 1.1, 42).Take(num_items);
 
-  std::vector<ConcurrentWriterRow> writer_rows;
+  Json writer_rows = Json::Array();
   ConcurrentWriterScale("hyperloglog", gems::HyperLogLog(12, 1), items,
                         &writer_rows);
   ConcurrentWriterScale("countmin", gems::CountMinSketch(4096, 4, 1), zipf,
                         &writer_rows);
 
-  std::vector<ConcurrentReaderRow> reader_rows;
+  Json reader_rows = Json::Array();
   // HLL readers take the cached-estimate path: one atomic load per query.
   // This is the gated row — it must stay within 20% of idle (CPU time)
   // with 8 writers saturating ingest.
@@ -1281,122 +1047,42 @@ int RunConcurrentBench(const std::string& json_path, size_t num_items) {
                                                            size_t{1} << 22),
       &reader_rows);
 
-  std::string json = "{\n  \"bench\": \"e07_concurrent\",\n";
-  json += "  \"items\": " + std::to_string(num_items) + ",\n";
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + ",\n";
-  json += "  \"layout\": " + gems::LayoutJson() + ",\n";
-  json += "  \"writer_results\": [\n";
-  char line[320];
-  for (size_t i = 0; i < writer_rows.size(); ++i) {
-    const ConcurrentWriterRow& row = writer_rows[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"sketch\": \"%s\", \"writers\": %zu, "
-                  "\"concurrent_writer_mops\": %.2f, "
-                  "\"striped_writer_mops\": %.2f, "
-                  "\"writer_speedup\": %.2f}%s\n",
-                  row.sketch, row.writers, row.concurrent_writer_mops,
-                  row.striped_writer_mops, row.writer_speedup,
-                  i + 1 < writer_rows.size() ? "," : "");
-    json += line;
-  }
-  json += "  ],\n  \"reader_results\": [\n";
-  for (size_t i = 0; i < reader_rows.size(); ++i) {
-    const ConcurrentReaderRow& row = reader_rows[i];
-    std::snprintf(line, sizeof(line),
-                  "    {\"sketch\": \"%s\", \"writers\": %zu, "
-                  "\"reader_mops\": %.2f, \"reader_cpu_mops\": %.2f, "
-                  "\"reader_vs_idle\": %.3f, "
-                  "\"reader_vs_idle_cpu\": %.3f, "
-                  "\"staleness_frac_mean\": %.4f}%s\n",
-                  row.sketch, row.writers, row.reader_mops,
-                  row.reader_cpu_mops, row.reader_vs_idle,
-                  row.reader_vs_idle_cpu, row.staleness_frac_mean,
-                  i + 1 < reader_rows.size() ? "," : "");
-    json += line;
-  }
-  json += "  ]\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 ? 0 : 1;
+  const Json body = Json::Object()
+                        .Set("items", num_items)
+                        .Set("writer_results", writer_rows)
+                        .Set("reader_results", reader_rows);
+  return gems::bench::WriteReport("e07_concurrent", json_path, body) ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string scaling_json_path;
-  std::string simd_json_path;
-  std::string concurrent_json_path;
-  std::string layout_json_path;
-  size_t num_items = 1 << 20;
-  size_t scaling_items = 1 << 21;
-  size_t simd_items = 1 << 20;
-  size_t concurrent_items = 1 << 21;
-  size_t layout_items = 1 << 21;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--e07_json=", 0) == 0) {
-      json_path = std::string(arg.substr(std::strlen("--e07_json=")));
-    } else if (arg.rfind("--e07_items=", 0) == 0) {
-      num_items = std::strtoull(argv[i] + std::strlen("--e07_items="),
-                                nullptr, 10);
-    } else if (arg.rfind("--e07_scaling_json=", 0) == 0) {
-      scaling_json_path =
-          std::string(arg.substr(std::strlen("--e07_scaling_json=")));
-    } else if (arg.rfind("--e07_scaling_items=", 0) == 0) {
-      scaling_items = std::strtoull(
-          argv[i] + std::strlen("--e07_scaling_items="), nullptr, 10);
-    } else if (arg.rfind("--e07_simd_json=", 0) == 0) {
-      simd_json_path =
-          std::string(arg.substr(std::strlen("--e07_simd_json=")));
-    } else if (arg.rfind("--e07_simd_items=", 0) == 0) {
-      simd_items = std::strtoull(argv[i] + std::strlen("--e07_simd_items="),
-                                 nullptr, 10);
-    } else if (arg.rfind("--e07_concurrent_json=", 0) == 0) {
-      concurrent_json_path =
-          std::string(arg.substr(std::strlen("--e07_concurrent_json=")));
-    } else if (arg.rfind("--e07_concurrent_items=", 0) == 0) {
-      concurrent_items = std::strtoull(
-          argv[i] + std::strlen("--e07_concurrent_items="), nullptr, 10);
-    } else if (arg.rfind("--e07_layout_json=", 0) == 0) {
-      layout_json_path =
-          std::string(arg.substr(std::strlen("--e07_layout_json=")));
-    } else if (arg.rfind("--e07_layout_items=", 0) == 0) {
-      layout_items = std::strtoull(
-          argv[i] + std::strlen("--e07_layout_items="), nullptr, 10);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+  gems::bench::Flags flags(argc, argv);
+  // A mode's item count; 0 or absent picks the mode's default.
+  const auto items = [&](std::string_view flag, size_t fallback) {
+    const size_t n = flags.U64(flag, 0);
+    return n == 0 ? fallback : n;
+  };
+  const std::string scaling_json = flags.String("e07_scaling_json");
+  const size_t scaling_items = items("e07_scaling_items", 1 << 21);
+  const std::string simd_json = flags.String("e07_simd_json");
+  const size_t simd_items = items("e07_simd_items", 1 << 20);
+  const std::string concurrent_json = flags.String("e07_concurrent_json");
+  const size_t concurrent_items = items("e07_concurrent_items", 1 << 21);
+  const std::string layout_json = flags.String("e07_layout_json");
+  const size_t layout_items = items("e07_layout_items", 1 << 21);
+  if (!layout_json.empty()) {
+    return RunLayoutComparison(layout_json, layout_items);
   }
-  if (!layout_json_path.empty()) {
-    return RunLayoutComparison(layout_json_path,
-                               layout_items == 0 ? 1 << 21 : layout_items);
+  if (!concurrent_json.empty()) {
+    return RunConcurrentBench(concurrent_json, concurrent_items);
   }
-  if (!concurrent_json_path.empty()) {
-    return RunConcurrentBench(
-        concurrent_json_path,
-        concurrent_items == 0 ? 1 << 21 : concurrent_items);
+  if (!simd_json.empty()) return RunSimdComparison(simd_json, simd_items);
+  if (!scaling_json.empty()) {
+    return RunThreadScaling(scaling_json, scaling_items);
   }
-  if (!simd_json_path.empty()) {
-    return RunSimdComparison(simd_json_path,
-                             simd_items == 0 ? 1 << 20 : simd_items);
-  }
-  if (!scaling_json_path.empty()) {
-    return RunThreadScaling(scaling_json_path,
-                            scaling_items == 0 ? 1 << 21 : scaling_items);
-  }
-  if (!json_path.empty()) {
-    return RunBatchedComparison(json_path, num_items == 0 ? 1 << 20
-                                                          : num_items);
-  }
+  std::vector<char*> passthrough = flags.Unclaimed();
+  passthrough.insert(passthrough.begin(), argv[0]);
   int pargc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pargc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(pargc, passthrough.data())) {

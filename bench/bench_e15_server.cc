@@ -6,7 +6,8 @@
 //
 // Stands up an in-process gemsd (real epoll server, real loopback
 // sockets) over a keyspace of `keys` hllpp sketches, then drives three
-// closed-loop scenarios at `connections` client threads:
+// closed-loop scenarios (server/load_driver.h) at `connections` client
+// threads:
 //
 //   update_heavy  90% UPDATE / 10% QUERY — the ingest-dominated shape
 //   query_heavy   10% UPDATE / 90% QUERY — the read-dominated shape
@@ -21,44 +22,25 @@
 // ratio should stay small (CI gates it at 2x); a regression here means
 // ingest started blocking the read path.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <string_view>
-#include <thread>
-#include <vector>
 
-#include "common/random.h"
+#include "bench_harness.h"
 #include "core/registry.h"
-#include "server/client.h"
 #include "server/keyspace.h"
+#include "server/load_driver.h"
 #include "server/server.h"
 
 namespace {
 
-using gems::server::GemsdClient;
+using gems::server::KeyName;
 using gems::server::Keyspace;
 using gems::server::KeyspaceOptions;
+using gems::server::LoadOptions;
+using gems::server::Percentile;
 using gems::server::Server;
 using gems::server::ServerOptions;
-
-std::string KeyName(uint64_t i) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "k%08llu",
-                static_cast<unsigned long long>(i));
-  return buf;
-}
-
-double Percentile(const std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const size_t at = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[at];
-}
 
 struct ScenarioResult {
   std::string name;
@@ -71,81 +53,27 @@ struct ScenarioResult {
   uint64_t total_requests = 0;
 };
 
-ScenarioResult RunScenario(const std::string& name, uint16_t port,
-                           uint64_t update_pct, size_t connections,
-                           uint64_t ops_per_conn, size_t batch,
-                           uint64_t num_keys) {
-  std::vector<std::vector<double>> all_us(connections);
-  std::vector<std::vector<double>> query_us(connections);
-  std::vector<std::thread> workers;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (size_t c = 0; c < connections; ++c) {
-    workers.emplace_back([&, c] {
-      gems::Result<GemsdClient> client =
-          GemsdClient::Connect("127.0.0.1", port);
-      if (!client.ok()) {
-        std::fprintf(stderr, "e15: connect: %s\n",
-                     client.status().ToString().c_str());
-        std::exit(1);
-      }
-      gems::SplitMix64 rng(0xE15ull * 1315423911u + c);
-      std::vector<uint64_t> items(batch);
-      all_us[c].reserve(ops_per_conn);
-      for (uint64_t op = 0; op < ops_per_conn; ++op) {
-        // Zipf-ish skew: squaring a uniform draw concentrates traffic on
-        // low key ids while still touching the whole keyspace tail.
-        const double u = static_cast<double>(rng.Next() >> 11) * 0x1p-53;
-        const uint64_t key_id =
-            static_cast<uint64_t>(u * u * static_cast<double>(num_keys));
-        const std::string key = KeyName(std::min(key_id, num_keys - 1));
-        const bool do_update = rng.Next() % 100 < update_pct;
-        const auto t0 = std::chrono::steady_clock::now();
-        gems::Status s;
-        if (do_update) {
-          for (uint64_t& item : items) item = rng.Next();
-          s = client.value().Update(key, items);
-        } else {
-          s = client.value().Query(key).status();
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        if (!s.ok()) {
-          std::fprintf(stderr, "e15: %s: %s\n", name.c_str(),
-                       s.ToString().c_str());
-          std::exit(1);
-        }
-        const double us =
-            std::chrono::duration<double, std::micro>(t1 - t0).count();
-        all_us[c].push_back(us);
-        if (!do_update) query_us[c].push_back(us);
-      }
-    });
+/// Runs one closed-loop mix; exits the process if any request fails.
+ScenarioResult RunScenario(const std::string& name, LoadOptions options,
+                           uint64_t update_pct) {
+  options.update_pct = update_pct;
+  gems::Result<gems::server::LoadResult> run = gems::server::RunLoad(options);
+  if (!run.ok()) {
+    std::fprintf(stderr, "e15: %s: %s\n", name.c_str(),
+                 run.status().ToString().c_str());
+    std::exit(1);
   }
-  for (std::thread& worker : workers) worker.join();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  std::vector<double> all_sorted;
-  std::vector<double> query_sorted;
-  for (size_t c = 0; c < connections; ++c) {
-    all_sorted.insert(all_sorted.end(), all_us[c].begin(), all_us[c].end());
-    query_sorted.insert(query_sorted.end(), query_us[c].begin(),
-                        query_us[c].end());
-  }
-  std::sort(all_sorted.begin(), all_sorted.end());
-  std::sort(query_sorted.begin(), query_sorted.end());
-
+  const gems::server::LoadResult& load = run.value();
   ScenarioResult result;
   result.name = name;
   result.update_pct = update_pct;
-  result.total_requests = all_sorted.size();
+  result.total_requests = load.all_us.size();
   result.requests_per_sec =
-      static_cast<double>(all_sorted.size()) / wall_s;
-  result.p50_us = Percentile(all_sorted, 0.50);
-  result.p99_us = Percentile(all_sorted, 0.99);
-  result.query_p50_us = Percentile(query_sorted, 0.50);
-  result.query_p99_us = Percentile(query_sorted, 0.99);
+      static_cast<double>(load.all_us.size()) / load.wall_s;
+  result.p50_us = Percentile(load.all_us, 0.50);
+  result.p99_us = Percentile(load.all_us, 0.99);
+  result.query_p50_us = Percentile(load.query_us, 0.50);
+  result.query_p99_us = Percentile(load.query_us, 0.99);
   std::printf(
       "e15 %-12s %8.0f req/s  p50 %7.1f us  p99 %7.1f us  "
       "(query p50 %7.1f us, p99 %7.1f us)\n",
@@ -155,56 +83,33 @@ ScenarioResult RunScenario(const std::string& name, uint16_t port,
   return result;
 }
 
-std::string ScenarioJson(const ScenarioResult& r) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"name\": \"%s\", \"update_pct\": %llu, "
-      "\"total_requests\": %llu, \"requests_per_sec\": %.1f, "
-      "\"p50_us\": %.1f, \"p99_us\": %.1f, "
-      "\"query_p50_us\": %.1f, \"query_p99_us\": %.1f}",
-      r.name.c_str(), static_cast<unsigned long long>(r.update_pct),
-      static_cast<unsigned long long>(r.total_requests),
-      r.requests_per_sec, r.p50_us, r.p99_us, r.query_p50_us,
-      r.query_p99_us);
-  return buf;
+gems::bench::Json ScenarioJson(const ScenarioResult& r) {
+  return gems::bench::Json::Object()
+      .Set("name", r.name)
+      .Set("update_pct", r.update_pct)
+      .Set("total_requests", r.total_requests)
+      .Set("requests_per_sec", r.requests_per_sec)
+      .Set("p50_us", r.p50_us)
+      .Set("p99_us", r.p99_us)
+      .Set("query_p50_us", r.query_p50_us)
+      .Set("query_p99_us", r.query_p99_us);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  uint64_t num_keys = 100000;
-  uint64_t ops_per_conn = 20000;
-  size_t connections = 8;
-  size_t batch = 64;
-  size_t server_threads = 4;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--e15_server_json=", 0) == 0) {
-      json_path = std::string(arg.substr(std::strlen("--e15_server_json=")));
-    } else if (arg.rfind("--e15_keys=", 0) == 0) {
-      num_keys = std::strtoull(argv[i] + std::strlen("--e15_keys="),
-                               nullptr, 10);
-    } else if (arg.rfind("--e15_ops=", 0) == 0) {
-      ops_per_conn = std::strtoull(argv[i] + std::strlen("--e15_ops="),
-                                   nullptr, 10);
-    } else if (arg.rfind("--e15_connections=", 0) == 0) {
-      connections = std::strtoull(
-          argv[i] + std::strlen("--e15_connections="), nullptr, 10);
-    } else if (arg.rfind("--e15_batch=", 0) == 0) {
-      batch = std::strtoull(argv[i] + std::strlen("--e15_batch="), nullptr,
-                            10);
-    } else if (arg.rfind("--e15_threads=", 0) == 0) {
-      server_threads = std::strtoull(argv[i] + std::strlen("--e15_threads="),
-                                     nullptr, 10);
-    } else {
-      std::fprintf(stderr, "e15: unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  if (num_keys == 0 || ops_per_conn == 0 || connections == 0 || batch == 0) {
+  gems::bench::Flags flags(argc, argv);
+  const std::string json_path = flags.String("e15_server_json");
+  LoadOptions load;
+  load.num_keys = flags.U64("e15_keys", 100000);
+  load.ops_per_connection = flags.U64("e15_ops", 20000);
+  load.connections = flags.U64("e15_connections", 8);
+  load.batch = flags.U64("e15_batch", 64);
+  load.seed = 0xE15ull * 1315423911u;
+  const size_t server_threads = flags.U64("e15_threads", 4);
+  if (!flags.NoneUnclaimed("e15")) return 1;
+  if (load.num_keys == 0 || load.ops_per_connection == 0 ||
+      load.connections == 0 || load.batch == 0) {
     std::fprintf(stderr, "e15: all sizes must be nonzero\n");
     return 1;
   }
@@ -216,19 +121,17 @@ int main(int argc, char** argv) {
   KeyspaceOptions keyspace_options;
   keyspace_options.num_shards = 256;
   Keyspace keyspace(keyspace_options);
-  const auto create_start = std::chrono::steady_clock::now();
-  for (uint64_t k = 0; k < num_keys; ++k) {
+  const gems::bench::Clock::time_point create_start =
+      gems::bench::Clock::now();
+  for (uint64_t k = 0; k < load.num_keys; ++k) {
     if (gems::Status s = keyspace.Create(KeyName(k), "hllpp"); !s.ok()) {
       std::fprintf(stderr, "e15: create: %s\n", s.ToString().c_str());
       return 1;
     }
   }
-  const double create_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    create_start)
-          .count();
   std::printf("e15: created %llu hllpp keys in %.1f s\n",
-              static_cast<unsigned long long>(num_keys), create_s);
+              static_cast<unsigned long long>(load.num_keys),
+              gems::bench::SecondsSince(create_start));
 
   ServerOptions server_options;
   server_options.num_threads = server_threads;
@@ -237,21 +140,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "e15: start: %s\n", s.ToString().c_str());
     return 1;
   }
+  load.port = server.port();
 
   // The throughput mixes run first, which doubles as warm-up: by the time
   // the idle baseline runs, the hot keys have real (dense) state, so the
   // loaded and idle query paths pay the same per-estimate cost and the
   // gate ratio isolates the effect of concurrent ingest rather than
   // comparing dense-sketch scans against empty-sketch scans.
-  const ScenarioResult update_heavy =
-      RunScenario("update_heavy", server.port(), 90, connections,
-                  ops_per_conn, batch, num_keys);
-  const ScenarioResult query_heavy =
-      RunScenario("query_heavy", server.port(), 10, connections,
-                  ops_per_conn, batch, num_keys);
-  const ScenarioResult idle =
-      RunScenario("query_idle", server.port(), 0, connections, ops_per_conn,
-                  batch, num_keys);
+  const ScenarioResult update_heavy = RunScenario("update_heavy", load, 90);
+  const ScenarioResult query_heavy = RunScenario("query_heavy", load, 10);
+  const ScenarioResult idle = RunScenario("query_idle", load, 0);
   server.Stop();
 
   // QUERY tail latency while the daemon absorbs concurrent writer
@@ -268,30 +166,17 @@ int main(int argc, char** argv) {
 
   if (json_path.empty()) return 0;
 
-  std::string json = "{\n  \"experiment\": \"e15_server\",\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "  \"keys\": %llu,\n  \"connections\": %zu,\n"
-                "  \"batch\": %zu,\n  \"ops_per_connection\": %llu,\n"
-                "  \"server_threads\": %zu,\n",
-                static_cast<unsigned long long>(num_keys), connections,
-                batch, static_cast<unsigned long long>(ops_per_conn),
-                server_threads);
-  json += line;
-  json += "  \"scenarios\": [\n";
-  json += ScenarioJson(idle) + ",\n";
-  json += ScenarioJson(update_heavy) + ",\n";
-  json += ScenarioJson(query_heavy) + "\n  ],\n";
-  std::snprintf(line, sizeof(line),
-                "  \"loaded_vs_idle_query_p99\": %.3f\n}\n", ratio);
-  json += line;
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "e15: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  return std::fclose(f) == 0 ? 0 : 1;
+  const gems::bench::Json body =
+      gems::bench::Json::Object()
+          .Set("keys", load.num_keys)
+          .Set("connections", load.connections)
+          .Set("batch", load.batch)
+          .Set("ops_per_connection", load.ops_per_connection)
+          .Set("server_threads", server_threads)
+          .Set("scenarios", gems::bench::Json::Array()
+                                .Push(ScenarioJson(idle))
+                                .Push(ScenarioJson(update_heavy))
+                                .Push(ScenarioJson(query_heavy)))
+          .Set("loaded_vs_idle_query_p99", ratio);
+  return gems::bench::WriteReport("e15_server", json_path, body) ? 0 : 1;
 }

@@ -27,21 +27,18 @@
 // types, which CI asserts.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_harness.h"
 #include "cardinality/hyperloglog.h"
 #include "common/random.h"
 #include "core/registry.h"
 #include "frequency/count_min.h"
-#include "simd/dispatch.h"
 #include "time/decayed_count_min.h"
 #include "time/exponential_histogram.h"
 #include "time/sliding_count_min.h"
@@ -49,7 +46,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using gems::bench::Clock;
+using gems::bench::SecondsSince;
 
 double Mops(uint64_t items, double seconds) {
   return seconds > 0.0 ? static_cast<double>(items) / seconds / 1e6 : 0.0;
@@ -85,58 +83,30 @@ IngestResult RunIngest(uint64_t total_items) {
     }
   };
 
-  {
-    gems::HyperLogLog plain(12, 7);
-    const auto t0 = Clock::now();
+  // Throughput of `ingest` fed the whole schedule, batch by batch.
+  const auto mops = [&](auto&& ingest) {
+    const Clock::time_point start = Clock::now();
     for (uint64_t b = 0; b * kBatch < total_items; ++b) {
       fill(b);
-      plain.UpdateBatch(items);
+      ingest();
     }
-    result.plain_hll_mops = Mops(
-        total_items, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  {
-    gems::SlidingHyperLogLog sliding(12, /*pane_width=*/64, /*num_panes=*/10,
-                                     7);
-    const auto t0 = Clock::now();
-    for (uint64_t b = 0; b * kBatch < total_items; ++b) {
-      fill(b);
-      sliding.UpdateBatchTimed(timestamps, items);
-    }
-    result.sliding_hll_mops = Mops(
-        total_items, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  {
-    gems::CountMinSketch plain(2048, 4, 7);
-    const auto t0 = Clock::now();
-    for (uint64_t b = 0; b * kBatch < total_items; ++b) {
-      fill(b);
-      plain.UpdateBatch(items);
-    }
-    result.plain_cm_mops = Mops(
-        total_items, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  {
-    gems::DecayedCountMin decayed(2048, 4, /*half_life=*/1000.0, 7);
-    const auto t0 = Clock::now();
-    for (uint64_t b = 0; b * kBatch < total_items; ++b) {
-      fill(b);
-      decayed.UpdateBatchTimed(timestamps, items);
-    }
-    result.decayed_cm_mops = Mops(
-        total_items, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  {
-    gems::SlidingCountMin sliding(2048, 4, /*pane_width=*/64,
-                                  /*num_panes=*/10, 7);
-    const auto t0 = Clock::now();
-    for (uint64_t b = 0; b * kBatch < total_items; ++b) {
-      fill(b);
-      sliding.UpdateBatchTimed(timestamps, items);
-    }
-    result.sliding_cm_mops = Mops(
-        total_items, std::chrono::duration<double>(Clock::now() - t0).count());
-  }
+    return Mops(total_items, SecondsSince(start));
+  };
+  gems::HyperLogLog plain_hll(12, 7);
+  result.plain_hll_mops = mops([&] { plain_hll.UpdateBatch(items); });
+  gems::SlidingHyperLogLog sliding_hll(12, /*pane_width=*/64,
+                                       /*num_panes=*/10, 7);
+  result.sliding_hll_mops =
+      mops([&] { sliding_hll.UpdateBatchTimed(timestamps, items); });
+  gems::CountMinSketch plain_cm(2048, 4, 7);
+  result.plain_cm_mops = mops([&] { plain_cm.UpdateBatch(items); });
+  gems::DecayedCountMin decayed_cm(2048, 4, /*half_life=*/1000.0, 7);
+  result.decayed_cm_mops =
+      mops([&] { decayed_cm.UpdateBatchTimed(timestamps, items); });
+  gems::SlidingCountMin sliding_cm(2048, 4, /*pane_width=*/64,
+                                   /*num_panes=*/10, 7);
+  result.sliding_cm_mops =
+      mops([&] { sliding_cm.UpdateBatchTimed(timestamps, items); });
 
   result.hll_overhead = result.sliding_hll_mops > 0.0
                             ? result.plain_hll_mops / result.sliding_hll_mops
@@ -321,29 +291,12 @@ RoundTripResult RunRoundTrips() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  uint64_t total_items = 8'000'000;
-  uint64_t num_requests = 400'000;
-  size_t cache_capacity = 512;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--e16_time_json=", 0) == 0) {
-      json_path = std::string(arg.substr(std::strlen("--e16_time_json=")));
-    } else if (arg.rfind("--e16_items=", 0) == 0) {
-      total_items = std::strtoull(argv[i] + std::strlen("--e16_items="),
-                                  nullptr, 10);
-    } else if (arg.rfind("--e16_requests=", 0) == 0) {
-      num_requests = std::strtoull(argv[i] + std::strlen("--e16_requests="),
-                                   nullptr, 10);
-    } else if (arg.rfind("--e16_cache=", 0) == 0) {
-      cache_capacity = std::strtoull(argv[i] + std::strlen("--e16_cache="),
-                                     nullptr, 10);
-    } else {
-      std::fprintf(stderr, "e16: unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  gems::bench::Flags flags(argc, argv);
+  const std::string json_path = flags.String("e16_time_json");
+  const uint64_t total_items = flags.U64("e16_items", 8'000'000);
+  const uint64_t num_requests = flags.U64("e16_requests", 400'000);
+  const size_t cache_capacity = flags.U64("e16_cache", 512);
+  if (!flags.NoneUnclaimed("e16")) return 1;
   if (total_items == 0 || num_requests < 4 || cache_capacity == 0) {
     std::fprintf(stderr, "e16: all sizes must be nonzero\n");
     return 1;
@@ -358,52 +311,34 @@ int main(int argc, char** argv) {
 
   if (json_path.empty()) return round_trips.all() ? 0 : 1;
 
-  std::string json = "{\n  \"experiment\": \"e16_time\",\n";
-  char line[512];
-  std::snprintf(line, sizeof(line),
-                "  \"items\": %llu,\n  \"requests\": %llu,\n"
-                "  \"cache_capacity\": %zu,\n",
-                static_cast<unsigned long long>(total_items),
-                static_cast<unsigned long long>(num_requests),
-                cache_capacity);
-  json += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  \"ingest\": {\"plain_hll_mops\": %.2f, \"sliding_hll_mops\": %.2f, "
-      "\"hll_overhead\": %.3f, \"plain_cm_mops\": %.2f, "
-      "\"decayed_cm_mops\": %.2f, \"sliding_cm_mops\": %.2f, "
-      "\"cm_overhead\": %.3f},\n",
-      ingest.plain_hll_mops, ingest.sliding_hll_mops, ingest.hll_overhead,
-      ingest.plain_cm_mops, ingest.decayed_cm_mops, ingest.sliding_cm_mops,
-      ingest.cm_overhead);
-  json += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  \"admission\": {\"plain_hit_rate\": %.4f, "
-      "\"decayed_hit_rate\": %.4f, \"phase2_plain_hit_rate\": %.4f, "
-      "\"phase2_decayed_hit_rate\": %.4f},\n",
-      admission.plain_hit_rate, admission.decayed_hit_rate,
-      admission.phase2_plain_hit_rate, admission.phase2_decayed_hit_rate);
-  json += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  \"roundtrip\": {\"sliding_hyperloglog\": %s, "
-      "\"sliding_countmin\": %s, \"decayed_countmin\": %s, "
-      "\"exponential_histogram\": %s},\n",
-      round_trips.sliding_hll ? "true" : "false",
-      round_trips.sliding_cm ? "true" : "false",
-      round_trips.decayed_cm ? "true" : "false",
-      round_trips.exponential_histogram ? "true" : "false");
-  json += line;
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + "\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "e16: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0) return 1;
-  return round_trips.all() ? 0 : 1;
+  using gems::bench::Json;
+  const Json body =
+      Json::Object()
+          .Set("items", total_items)
+          .Set("requests", num_requests)
+          .Set("cache_capacity", cache_capacity)
+          .Set("ingest", Json::Object()
+                             .Set("plain_hll_mops", ingest.plain_hll_mops)
+                             .Set("sliding_hll_mops", ingest.sliding_hll_mops)
+                             .Set("hll_overhead", ingest.hll_overhead)
+                             .Set("plain_cm_mops", ingest.plain_cm_mops)
+                             .Set("decayed_cm_mops", ingest.decayed_cm_mops)
+                             .Set("sliding_cm_mops", ingest.sliding_cm_mops)
+                             .Set("cm_overhead", ingest.cm_overhead))
+          .Set("admission",
+               Json::Object()
+                   .Set("plain_hit_rate", admission.plain_hit_rate)
+                   .Set("decayed_hit_rate", admission.decayed_hit_rate)
+                   .Set("phase2_plain_hit_rate", admission.phase2_plain_hit_rate)
+                   .Set("phase2_decayed_hit_rate",
+                        admission.phase2_decayed_hit_rate))
+          .Set("roundtrip",
+               Json::Object()
+                   .Set("sliding_hyperloglog", round_trips.sliding_hll)
+                   .Set("sliding_countmin", round_trips.sliding_cm)
+                   .Set("decayed_countmin", round_trips.decayed_cm)
+                   .Set("exponential_histogram",
+                        round_trips.exponential_histogram));
+  const bool written = gems::bench::WriteReport("e16_time", json_path, body);
+  return written && round_trips.all() ? 0 : 1;
 }

@@ -32,31 +32,24 @@
 // check fails (speedup gating lives in CI, like the other experiments).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_harness.h"
 #include "common/bytes.h"
-#include "common/layout.h"
 #include "core/registry.h"
 #include "distributed/thread_pool.h"
 #include "engine/multi_query.h"
 #include "engine/stream_query.h"
-#include "simd/dispatch.h"
 #include "workload/multi_query.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point start, Clock::time_point end) {
-  return std::chrono::duration<double>(end - start).count();
-}
+using gems::bench::Clock;
+using gems::bench::SecondsSince;
 
 double Mevents(uint64_t events, double seconds) {
   return seconds > 0.0 ? static_cast<double>(events) / seconds / 1e6 : 0.0;
@@ -127,7 +120,7 @@ ConfigResult RunConfig(size_t num_queries, double overlap, uint64_t num_events,
   for (gems::StreamQuery& query : independents) {
     if (!query.ProcessBatch(events).ok()) std::abort();
   }
-  const double indep_seconds = Seconds(indep_start, Clock::now());
+  const double indep_seconds = SecondsSince(indep_start);
 
   // One shared pass.
   gems::MultiQueryEngine shared(seed);
@@ -135,7 +128,7 @@ ConfigResult RunConfig(size_t num_queries, double overlap, uint64_t num_events,
   result.physical = shared.num_physical_queries();
   const auto shared_start = Clock::now();
   if (!shared.ProcessBatch(events).ok()) std::abort();
-  const double shared_seconds = Seconds(shared_start, Clock::now());
+  const double shared_seconds = SecondsSince(shared_start);
 
   // One shared pass, fan-out across the pool.
   gems::MultiQueryEngine parallel(seed);
@@ -143,7 +136,7 @@ ConfigResult RunConfig(size_t num_queries, double overlap, uint64_t num_events,
   gems::ThreadPool pool(num_threads);
   const auto parallel_start = Clock::now();
   if (!parallel.ProcessBatchParallel(events, pool).ok()) std::abort();
-  const double parallel_seconds = Seconds(parallel_start, Clock::now());
+  const double parallel_seconds = SecondsSince(parallel_start);
 
   result.independent_mevents = Mevents(num_events, indep_seconds);
   result.shared_mevents = Mevents(num_events, shared_seconds);
@@ -179,26 +172,11 @@ ConfigResult RunConfig(size_t num_queries, double overlap, uint64_t num_events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  uint64_t num_events = 400'000;
-  size_t num_threads = 8;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--e17_multiquery_json=", 0) == 0) {
-      json_path =
-          std::string(arg.substr(std::strlen("--e17_multiquery_json=")));
-    } else if (arg.rfind("--e17_events=", 0) == 0) {
-      num_events =
-          std::strtoull(argv[i] + std::strlen("--e17_events="), nullptr, 10);
-    } else if (arg.rfind("--e17_threads=", 0) == 0) {
-      num_threads =
-          std::strtoull(argv[i] + std::strlen("--e17_threads="), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "e17: unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  gems::bench::Flags flags(argc, argv);
+  const std::string json_path = flags.String("e17_multiquery_json");
+  const uint64_t num_events = flags.U64("e17_events", 400'000);
+  const size_t num_threads = flags.U64("e17_threads", 8);
+  if (!flags.NoneUnclaimed("e17")) return 1;
   if (num_events < 10'000 || num_threads == 0) {
     std::fprintf(stderr, "e17: need >= 10000 events and >= 1 thread\n");
     return 1;
@@ -236,37 +214,25 @@ int main(int argc, char** argv) {
 
   if (json_path.empty()) return all_identical ? 0 : 1;
 
-  std::string json = "{\n  \"experiment\": \"e17_multiquery\",\n";
-  char line[512];
-  std::snprintf(line, sizeof(line),
-                "  \"events\": %llu,\n  \"threads\": %zu,\n  \"sweep\": [\n",
-                static_cast<unsigned long long>(num_events), num_threads);
-  json += line;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
-    std::snprintf(
-        line, sizeof(line),
-        "    {\"queries\": %zu, \"overlap\": %.2f, \"physical\": %zu, "
-        "\"independent_mevents\": %.2f, \"shared_mevents\": %.2f, "
-        "\"shared_speedup\": %.3f, \"parallel_mevents\": %.2f, "
-        "\"parallel_speedup\": %.3f, \"results_identical\": %s}%s\n",
-        r.queries, r.overlap, r.physical, r.independent_mevents,
-        r.shared_mevents, r.shared_speedup, r.parallel_mevents,
-        r.parallel_speedup, r.results_identical ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-    json += line;
+  using gems::bench::Json;
+  Json sweep_rows = Json::Array();
+  for (const ConfigResult& r : results) {
+    sweep_rows.Push(Json::Object()
+                        .Set("queries", r.queries)
+                        .Set("overlap", r.overlap)
+                        .Set("physical", r.physical)
+                        .Set("independent_mevents", r.independent_mevents)
+                        .Set("shared_mevents", r.shared_mevents)
+                        .Set("shared_speedup", r.shared_speedup)
+                        .Set("parallel_mevents", r.parallel_mevents)
+                        .Set("parallel_speedup", r.parallel_speedup)
+                        .Set("results_identical", r.results_identical));
   }
-  json += "  ],\n";
-  json += "  \"layout\": " + gems::LayoutJson() + ",\n";
-  json += "  \"dispatch\": " + gems::simd::DispatchJson() + "\n}\n";
-
-  std::fputs(json.c_str(), stdout);
-  std::FILE* f = std::fopen(json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "e17: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0) return 1;
-  return all_identical ? 0 : 1;
+  const Json body = Json::Object()
+                        .Set("events", num_events)
+                        .Set("threads", num_threads)
+                        .Set("sweep", sweep_rows);
+  const bool written =
+      gems::bench::WriteReport("e17_multiquery", json_path, body);
+  return written && all_identical ? 0 : 1;
 }

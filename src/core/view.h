@@ -45,12 +45,12 @@ class SketchView {
   }
 
   /// Wrap for bytes this process produced itself (combiner fan-in, shard
-  /// merge, arena slices from FinishInto): all structural checks — magic,
-  /// type, version, flags, and the length bounds that make payload access
-  /// safe — still run, but the XXH64 payload checksum is skipped. On flat
-  /// sketches the checksum pass costs more than the merge itself, so
-  /// trusted fan-in paths use this. Never use it on bytes from disk or
-  /// the network; a flipped payload bit would merge silently.
+  /// merge): all structural checks — magic, type, version, flags, and the
+  /// length bounds that make payload access safe — still run, but the
+  /// XXH64 payload checksum is skipped. On flat sketches the checksum pass
+  /// costs more than the merge itself, so trusted fan-in paths use this.
+  /// Never use it on bytes from disk or the network; a flipped payload bit
+  /// would merge silently.
   static Result<SketchView> WrapTrusted(ByteSpan envelope) {
     return WrapImpl(envelope, EnvelopeVerify::kStructural);
   }

@@ -19,7 +19,6 @@
 #include "common/status.h"
 #include "core/summary.h"
 #include "distributed/aggregation.h"
-#include "distributed/concurrent/concurrent_summary.h"
 #include "distributed/spsc_ring.h"
 #include "distributed/thread_pool.h"
 
@@ -170,27 +169,11 @@ class ShardedPipeline {
 
   const Options& options() const { return options_; }
 
-  /// Routes every worker's ingest into `live` instead of the private
-  /// shards, so the sketch is queryable (wait-free, bounded staleness)
-  /// *while* the pipeline saturates ingest — the serving-layer shape the
-  /// paper's impact stories describe. `live` must be built from a
-  /// merge-compatible prototype and outlive the pipeline; must be called
-  /// before the first Push. Finish() then returns live->Snapshot(), and
-  /// for partition-independent sketches the result is still byte-identical
-  /// to sequential ingest once quiesced.
-  void PublishTo(ConcurrentSummary<S>* live) {
-    GEMS_CHECK(live != nullptr);
-    GEMS_CHECK(!pushed_);
-    GEMS_CHECK(!finished_);
-    live_.store(live, std::memory_order_release);
-  }
-
   /// Feeds a span of items through the pipeline. Chunks go round-robin to
   /// the workers; blocks when the target ring is full. Single producer:
   /// Push must not be called concurrently with itself or Finish.
   void Push(std::span<const Item> items) {
     GEMS_CHECK(!finished_);
-    pushed_ = true;
     while (!items.empty()) {
       const size_t n = std::min(items.size(), options_.chunk_items);
       const Chunk chunk{items.data(), n};
@@ -213,36 +196,12 @@ class ShardedPipeline {
     finished_ = true;
     stop_.store(true, std::memory_order_release);
     drained_.Wait();
-    if (ConcurrentSummary<S>* live = live_.load(std::memory_order_acquire)) {
-      // Live mode: every worker flushed its residual into the concurrent
-      // global before signalling drained, so the published version is the
-      // complete stream; the private shards never saw an item.
-      return live->Snapshot();
-    }
     std::vector<S> leaves;
     leaves.reserve(shards_.size());
     for (std::unique_ptr<Shard>& shard : shards_) {
       leaves.push_back(std::move(shard->summary));
     }
     return ParallelAggregateTree(std::move(leaves), kMergeFanout, &pool_);
-  }
-
-  /// Finish() variant that serializes the merged root straight into a
-  /// caller-owned arena (appending, never clearing) and returns the span
-  /// of the root's envelope within it — the shape a combiner that ships
-  /// its output over the wire wants, with no per-result allocation beyond
-  /// the arena's own growth. Requires a sink-serializable summary. May be
-  /// called once, instead of Finish().
-  Result<ByteSpan> FinishInto(std::vector<uint8_t>* arena)
-    requires SinkSerializableSummary<S>
-  {
-    GEMS_CHECK(arena != nullptr);
-    Result<S> root = Finish();
-    if (!root.ok()) return root.status();
-    ByteSink sink(arena);
-    const size_t start = sink.size();
-    root.value().SerializeTo(sink);
-    return sink.Slice(start, sink.size() - start);
   }
 
  private:
@@ -264,27 +223,11 @@ class ShardedPipeline {
     S summary;
   };
 
-  /// Applies one chunk to a private shard or, through its thread-local
-  /// buffered batch path, to the live concurrent global.
-  template <typename Target>
-  static void Apply(Target& target, const Chunk& chunk) {
-    IngestBatch(target, std::span<const Item>(chunk.data, chunk.size));
-  }
-
   void DrainLoop(size_t index) {
     Shard& shard = *shards_[index];
-    // The live pointer is re-checked until first seen non-null: PublishTo
-    // must precede the first Push, and the ring hand-off that delivered a
-    // chunk also ordered PublishTo's store before it — so no chunk can be
-    // applied to the private shard after a publish target was set.
-    ConcurrentSummary<S>* live = nullptr;
     const auto apply = [&](const Chunk& chunk) {
-      if (live == nullptr) live = live_.load(std::memory_order_acquire);
-      if (live != nullptr) {
-        Apply(*live, chunk);
-      } else {
-        Apply(shard.summary, chunk);
-      }
+      IngestBatch(shard.summary,
+                  std::span<const Item>(chunk.data, chunk.size));
     };
     Chunk chunk;
     int spins = 0;
@@ -302,9 +245,6 @@ class ShardedPipeline {
         pipeline_internal::SpinBackoff(&spins);
       }
     }
-    // Fold this worker's buffered/local residual so Finish()'s Snapshot
-    // (sequenced after drained_.Wait()) sees the complete stream.
-    if (live != nullptr) live->FlushLocal();
   }
 
   Options options_;
@@ -313,9 +253,7 @@ class ShardedPipeline {
   WaitGroup drained_;
   std::atomic<size_t> pinned_count_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<ConcurrentSummary<S>*> live_{nullptr};
   size_t next_shard_ = 0;
-  bool pushed_ = false;
   bool finished_ = false;
 };
 

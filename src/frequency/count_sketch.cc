@@ -27,6 +27,13 @@ uint32_t BlockColsFor(uint32_t depth) {
   return cols;
 }
 
+// sign * counter in unsigned arithmetic: a counter that has wrapped to
+// INT64_MIN negates to itself instead of overflowing.
+int64_t SignedCounter(int64_t sign, int64_t counter) {
+  const uint64_t bits = static_cast<uint64_t>(counter);
+  return static_cast<int64_t>(sign > 0 ? bits : uint64_t{0} - bits);
+}
+
 }  // namespace
 
 CountSketch::CountSketch(uint32_t width, uint32_t depth, uint64_t seed,
@@ -114,13 +121,14 @@ int64_t CountSketch::Estimate(uint64_t item) const {
     for (uint32_t row = 0; row < depth_; ++row) {
       const int64_t counter =
           block[row * cols_ + CmBlockCol(h.high, row, col_mask)];
-      row_estimates.push_back(CsBlockSign(h.high, row) * counter);
+      row_estimates.push_back(
+          SignedCounter(CsBlockSign(h.high, row), counter));
     }
   } else {
     for (uint32_t row = 0; row < depth_; ++row) {
       const int64_t counter =
           counters_[static_cast<size_t>(row) * width_ + Bucket(row, item)];
-      row_estimates.push_back(Sign(row, item) * counter);
+      row_estimates.push_back(SignedCounter(Sign(row, item), counter));
     }
   }
   std::nth_element(row_estimates.begin(),

@@ -24,8 +24,15 @@ AmsSketch::AmsSketch(uint32_t estimators_per_group, uint32_t num_groups,
 }
 
 void AmsSketch::Update(uint64_t item, int64_t weight) {
+  // Signed update in unsigned arithmetic, as CountSketch::Update does: at
+  // the extremes of int64 the counter wraps in two's complement instead of
+  // overflowing.
+  const uint64_t mag = static_cast<uint64_t>(weight);
   for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += sign_hashes_[i].EvalSign(item) * weight;
+    const uint64_t delta =
+        sign_hashes_[i].EvalSign(item) > 0 ? mag : uint64_t{0} - mag;
+    counters_[i] =
+        static_cast<int64_t>(static_cast<uint64_t>(counters_[i]) + delta);
   }
 }
 

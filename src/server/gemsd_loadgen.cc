@@ -4,29 +4,27 @@
 //                 [--keys=10000] [--ops=100000] [--batch=64]
 //                 [--update-pct=90] [--type=hllpp] [--pipeline=1]
 //
-// Pre-creates `keys` sketches named k000000.., then runs `connections`
+// Pre-creates `keys` sketches named k00000000.., then runs `connections`
 // client threads, each issuing `ops` requests: an UPDATE of `batch`
 // zipf-keyed items with probability update-pct, a QUERY otherwise.
 // --pipeline=N > 1 ships requests in pipelined windows of N over each
 // connection (one send, N responses), amortizing the RTT; per-request
 // latency is then reported as window-time / N.
 // Prints aggregate requests/s and client-observed latency percentiles.
+// Exits nonzero if any connect, CREATE or request fails.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/random.h"
 #include "server/client.h"
+#include "server/load_driver.h"
 
 namespace {
 
 using gems::server::GemsdClient;
+using gems::server::KeyName;
 
 uint64_t FlagU64(const char* arg, const char* name, uint64_t fallback) {
   const size_t len = std::strlen(name);
@@ -34,62 +32,48 @@ uint64_t FlagU64(const char* arg, const char* name, uint64_t fallback) {
   return std::strtoull(arg + len, nullptr, 10);
 }
 
-std::string KeyName(uint64_t i) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "k%08llu",
-                static_cast<unsigned long long>(i));
-  return buf;
-}
-
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const size_t at = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[at];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  uint16_t port = 7171;
-  size_t connections = 8;
-  uint64_t num_keys = 10000;
-  uint64_t ops_per_conn = 100000;
-  size_t batch = 64;
-  uint64_t update_pct = 90;
-  size_t pipeline = 1;
+  gems::server::LoadOptions options;
+  options.port = 7171;
+  options.num_keys = 10000;
+  options.ops_per_connection = 100000;
+  options.seed = 0x10AD;
   std::string sketch_type = "hllpp";
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--host=", 7) == 0) {
-      host = arg + 7;
+      options.host = arg + 7;
     } else if (std::strncmp(arg, "--type=", 7) == 0) {
       sketch_type = arg + 7;
     } else {
-      port = static_cast<uint16_t>(FlagU64(arg, "--port=", port));
-      connections = FlagU64(arg, "--connections=", connections);
-      num_keys = FlagU64(arg, "--keys=", num_keys);
-      ops_per_conn = FlagU64(arg, "--ops=", ops_per_conn);
-      batch = FlagU64(arg, "--batch=", batch);
-      update_pct = FlagU64(arg, "--update-pct=", update_pct);
-      pipeline = FlagU64(arg, "--pipeline=", pipeline);
+      options.port =
+          static_cast<uint16_t>(FlagU64(arg, "--port=", options.port));
+      options.connections =
+          FlagU64(arg, "--connections=", options.connections);
+      options.num_keys = FlagU64(arg, "--keys=", options.num_keys);
+      options.ops_per_connection =
+          FlagU64(arg, "--ops=", options.ops_per_connection);
+      options.batch = FlagU64(arg, "--batch=", options.batch);
+      options.update_pct = FlagU64(arg, "--update-pct=", options.update_pct);
+      options.pipeline = FlagU64(arg, "--pipeline=", options.pipeline);
     }
   }
-  if (pipeline == 0) pipeline = 1;
+  if (options.pipeline == 0) options.pipeline = 1;
 
   // Create the key population over one connection; tolerate rerunning
   // against a warm daemon (kAlreadyExists is fine).
   {
-    gems::Result<GemsdClient> setup = GemsdClient::Connect(host, port);
+    gems::Result<GemsdClient> setup =
+        GemsdClient::Connect(options.host, options.port);
     if (!setup.ok()) {
       std::fprintf(stderr, "loadgen: %s\n",
                    setup.status().ToString().c_str());
       return 1;
     }
-    for (uint64_t k = 0; k < num_keys; ++k) {
+    for (uint64_t k = 0; k < options.num_keys; ++k) {
       gems::Status s = setup.value().Create(KeyName(k), sketch_type);
       if (!s.ok() && s.code() != gems::StatusCode::kAlreadyExists) {
         std::fprintf(stderr, "loadgen: create %s: %s\n",
@@ -99,108 +83,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::vector<double>> latencies_us(connections);
-  std::vector<std::thread> workers;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (size_t c = 0; c < connections; ++c) {
-    workers.emplace_back([&, c] {
-      gems::Result<GemsdClient> client = GemsdClient::Connect(host, port);
-      if (!client.ok()) return;
-      gems::SplitMix64 rng(0x10ADull + c);
-      std::vector<double>& lat = latencies_us[c];
-      lat.reserve(ops_per_conn);
-      // Zipf-ish skew: square a uniform draw so low key ids dominate.
-      const auto draw_key = [&] {
-        const double u = static_cast<double>(rng.Next() >> 11) * 0x1p-53;
-        const uint64_t key_id =
-            static_cast<uint64_t>(u * u * static_cast<double>(num_keys));
-        return KeyName(std::min(key_id, num_keys - 1));
-      };
-      if (pipeline > 1) {
-        // Pipelined mode: windows of `pipeline` requests, one send +
-        // in-order drain per window. Per-slot item storage must outlive
-        // the Pipeline call (requests borrow their item spans).
-        std::vector<std::vector<uint64_t>> window_items(
-            pipeline, std::vector<uint64_t>(batch));
-        std::vector<gems::server::Request> requests;
-        std::vector<gems::Status> statuses;
-        for (uint64_t op = 0; op < ops_per_conn;) {
-          const size_t window =
-              std::min<uint64_t>(pipeline, ops_per_conn - op);
-          requests.clear();
-          requests.resize(window);
-          for (size_t w = 0; w < window; ++w) {
-            gems::server::Request& request = requests[w];
-            request.key = draw_key();
-            if (rng.Next() % 100 < update_pct) {
-              for (uint64_t& item : window_items[w]) item = rng.Next();
-              request.opcode = gems::server::Opcode::kUpdate;
-              request.items = window_items[w];
-            } else {
-              request.opcode = gems::server::Opcode::kQuery;
-            }
-          }
-          const auto t0 = std::chrono::steady_clock::now();
-          gems::Status s = client.value().Pipeline(requests, &statuses);
-          const auto t1 = std::chrono::steady_clock::now();
-          for (const gems::Status& rs : statuses) {
-            if (!rs.ok()) s = rs;
-          }
-          if (!s.ok()) {
-            std::fprintf(stderr, "loadgen: %s\n", s.ToString().c_str());
-            return;
-          }
-          const double per_request_us =
-              std::chrono::duration<double, std::micro>(t1 - t0).count() /
-              static_cast<double>(window);
-          for (size_t w = 0; w < window; ++w) lat.push_back(per_request_us);
-          op += window;
-        }
-        return;
-      }
-      std::vector<uint64_t> items(batch);
-      for (uint64_t op = 0; op < ops_per_conn; ++op) {
-        const std::string key = draw_key();
-        const bool do_update = rng.Next() % 100 < update_pct;
-        const auto t0 = std::chrono::steady_clock::now();
-        gems::Status s;
-        if (do_update) {
-          for (uint64_t& item : items) item = rng.Next();
-          s = client.value().Update(key, items);
-        } else {
-          s = client.value().Query(key).status();
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        if (!s.ok()) {
-          std::fprintf(stderr, "loadgen: %s\n", s.ToString().c_str());
-          return;
-        }
-        lat.push_back(
-            std::chrono::duration<double, std::micro>(t1 - t0).count());
-      }
-    });
+  gems::Result<gems::server::LoadResult> run =
+      gems::server::RunLoad(options);
+  if (!run.ok()) {
+    std::fprintf(stderr, "loadgen: %s\n", run.status().ToString().c_str());
+    return 1;
   }
-  for (std::thread& worker : workers) worker.join();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  std::vector<double> all_us;
-  for (const std::vector<double>& lat : latencies_us) {
-    all_us.insert(all_us.end(), lat.begin(), lat.end());
-  }
-  std::sort(all_us.begin(), all_us.end());
+  const std::vector<double>& all_us = run.value().all_us;
   std::printf(
       "loadgen: %zu conns x %llu ops (%zu-item batches, %llu%% update, "
       "pipeline %zu) over %s:%u\n",
-      connections, static_cast<unsigned long long>(ops_per_conn), batch,
-      static_cast<unsigned long long>(update_pct), pipeline, host.c_str(),
-      port);
+      options.connections,
+      static_cast<unsigned long long>(options.ops_per_connection),
+      options.batch, static_cast<unsigned long long>(options.update_pct),
+      options.pipeline, options.host.c_str(), options.port);
   std::printf("  %.0f requests/s; latency p50 %.1f us, p99 %.1f us, "
               "max %.1f us\n",
-              static_cast<double>(all_us.size()) / wall_s,
-              Percentile(all_us, 0.50), Percentile(all_us, 0.99),
+              static_cast<double>(all_us.size()) / run.value().wall_s,
+              gems::server::Percentile(all_us, 0.50),
+              gems::server::Percentile(all_us, 0.99),
               all_us.empty() ? 0.0 : all_us.back());
   return 0;
 }

@@ -1042,43 +1042,6 @@ TEST(ConcurrentSummaryTest, MixedReadersAndWritersStress) {
               0.06 * expected);
 }
 
-TEST(ShardedPipelineTest, PublishToServesLiveQueriesMidIngest) {
-  // Pipeline interop: workers route their chunks into a concurrent global
-  // that a reader thread queries wait-free mid-ingest; Finish() drains
-  // through the same global and must still be byte-identical to
-  // sequential ingest (workers flush residuals before signalling done).
-  const auto items = DistinctItems(200000, 61);
-  HyperLogLog sequential(12, 62);
-  sequential.UpdateBatch(items);
-  ConcurrentSummary<HyperLogLog> live(HyperLogLog(12, 62),
-                                      {.buffer_items = 1024});
-  ShardedPipeline<HyperLogLog> pipeline(HyperLogLog(12, 62),
-                                        {.num_workers = 4});
-  pipeline.PublishTo(&live);
-  std::atomic<bool> done{false};
-  std::atomic<int> decreases{0};
-  std::thread reader([&live, &done, &decreases] {
-    double last = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const double now = live.Estimate();
-      if (now + 1e-9 < last) decreases.fetch_add(1, std::memory_order_relaxed);
-      last = now;
-    }
-  });
-  std::span<const uint64_t> span(items);
-  for (size_t off = 0; off < span.size(); off += 8192) {
-    pipeline.Push(span.subspan(off, std::min<size_t>(8192, span.size() - off)));
-  }
-  auto root = pipeline.Finish();
-  done.store(true, std::memory_order_release);
-  reader.join();
-  ASSERT_TRUE(root.ok());
-  EXPECT_EQ(decreases.load(), 0);
-  EXPECT_EQ(root.value().Serialize(), sequential.Serialize());
-  // The live global itself holds the complete stream too.
-  EXPECT_EQ(live.Snapshot().value().Serialize(), sequential.Serialize());
-}
-
 TEST(ShardOfTest, InvariantModOverloadMatchesPlain) {
   const InvariantMod nodes(13);
   for (uint64_t item = 0; item < 2000; ++item) {

@@ -493,6 +493,20 @@ TEST(CountSketchTest, ExtremeWeightsWrapInBothLayouts) {
   }
 }
 
+TEST(CountSketchTest, EstimateOfInt64MinCounterInBothLayouts) {
+  // Two INT64_MAX updates plus one of INT64_MIN + 2 total 2^63, so every
+  // counter the item touches wraps to INT64_MIN whatever its row's sign.
+  // Estimate's sign * counter must then wrap too (-INT64_MIN is
+  // INT64_MIN), never hit signed-overflow UB.
+  for (SketchLayout layout : {SketchLayout::kFlat, SketchLayout::kBlocked}) {
+    CountSketch cs(256, 5, 14, layout);
+    cs.Update(42, INT64_MAX);
+    cs.Update(42, INT64_MAX);
+    cs.Update(42, INT64_MIN + 2);
+    EXPECT_EQ(cs.Estimate(42), INT64_MIN) << LayoutName(layout);
+  }
+}
+
 TEST(CountSketchTest, AccurateOnSkewedData) {
   CountSketch cs(2048, 5, 15);
   ExactFrequencies exact;

@@ -31,6 +31,19 @@ TEST(AmsTest, F2OfSingleHeavyItem) {
   EXPECT_DOUBLE_EQ(ams.EstimateF2(), 1e6);
 }
 
+TEST(AmsTest, ExtremeWeightsWrapToInt64Min) {
+  // Two INT64_MAX updates wrap every counter to +/-2. A third update of
+  // INT64_MIN + 2 brings the total weight to 2^63, so each counter wraps
+  // to INT64_MIN whatever its sign. The adds must wrap in two's
+  // complement, never hit signed-overflow UB.
+  AmsSketch ams(16, 5, 1);
+  ams.Update(7, INT64_MAX);
+  ams.Update(7, INT64_MAX);
+  EXPECT_DOUBLE_EQ(ams.EstimateF2(), 4.0);
+  ams.Update(7, INT64_MIN + 2);
+  EXPECT_DOUBLE_EQ(ams.EstimateF2(), std::ldexp(1.0, 126));
+}
+
 TEST(AmsTest, F2AccurateOnZipf) {
   std::vector<double> errors;
   for (int t = 0; t < 10; ++t) {

@@ -1,7 +1,8 @@
 // gemsd server stack: protocol framing/codecs, the sharded keyspace, the
 // request dispatcher, and full loopback integration over real sockets —
 // concurrent UPDATE/QUERY against an offline replica, MERGE fan-in, and
-// the CHECKPOINT/RESTORE round trip with byte-identical images.
+// the CHECKPOINT/RESTORE round trip with byte-identical images, plus the
+// closed-loop load driver the serving bench and gemsd_loadgen share.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -22,6 +23,7 @@
 #include "frequency/count_min.h"
 #include "server/client.h"
 #include "server/keyspace.h"
+#include "server/load_driver.h"
 #include "server/protocol.h"
 #include "server/server.h"
 
@@ -1145,6 +1147,73 @@ TEST_F(LoopbackTest, TimedSketchesEndToEndOverSockets) {
 
   other.Stop();
   server.Stop();
+}
+
+// -------------------------------------------------------- load driver
+
+TEST_F(LoopbackTest, LoadDriverCountsEveryRequestInBothModes) {
+  Keyspace keyspace;
+  for (uint64_t k = 0; k < 16; ++k) {
+    ASSERT_TRUE(keyspace.Create(KeyName(k), "hllpp").ok());
+  }
+  Server server(&keyspace);
+  ASSERT_TRUE(server.Start().ok());
+  LoadOptions options;
+  options.port = server.port();
+  options.connections = 3;
+  options.ops_per_connection = 50;
+  options.batch = 8;
+  options.num_keys = 16;
+  options.update_pct = 50;
+  options.seed = 11;
+
+  Result<LoadResult> mixed = RunLoad(options);
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed.value().all_us.size(), 150u);
+  EXPECT_GT(mixed.value().query_us.size(), 0u);
+  EXPECT_LT(mixed.value().query_us.size(), 150u);
+  EXPECT_TRUE(std::is_sorted(mixed.value().all_us.begin(),
+                             mixed.value().all_us.end()));
+  EXPECT_GT(mixed.value().wall_s, 0.0);
+
+  options.update_pct = 0;
+  Result<LoadResult> queries = RunLoad(options);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  EXPECT_EQ(queries.value().all_us.size(), 150u);
+  EXPECT_EQ(queries.value().query_us.size(), 150u);
+
+  // Windows of 4 over 50 ops per connection (the last window is short):
+  // the same seed draws the same requests, so the counts match the
+  // one-request-per-round-trip run.
+  options.update_pct = 50;
+  options.pipeline = 4;
+  Result<LoadResult> pipelined = RunLoad(options);
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
+  EXPECT_EQ(pipelined.value().all_us.size(), 150u);
+  EXPECT_EQ(pipelined.value().query_us.size(),
+            mixed.value().query_us.size());
+  server.Stop();
+}
+
+TEST_F(LoopbackTest, LoadDriverReturnsTheFailingStatus) {
+  Keyspace keyspace;
+  Server server(&keyspace);
+  ASSERT_TRUE(server.Start().ok());
+  LoadOptions options;
+  options.port = server.port();
+  options.connections = 2;
+  options.ops_per_connection = 10;
+  options.num_keys = 4;  // Never created.
+  EXPECT_EQ(RunLoad(options).status().code(), StatusCode::kNotFound);
+  options.pipeline = 4;
+  EXPECT_EQ(RunLoad(options).status().code(), StatusCode::kNotFound);
+
+  // Nothing listens on the port once the server stops.
+  server.Stop();
+  options.pipeline = 1;
+  const Result<LoadResult> closed = RunLoad(options);
+  EXPECT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), StatusCode::kUnavailable);
 }
 
 }  // namespace
